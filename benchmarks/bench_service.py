@@ -47,20 +47,26 @@ Run directly (it is a script, not a pytest-benchmark module)::
     PYTHONPATH=src python benchmarks/bench_service.py \
         --backend process --workers 4 --no-kernel-sweep --quick
 
-The script exits non-zero when the p >= 6 aggregate speedup falls below the
-3x acceptance floor, or when the numpy kernel's solve throughput on the
-solver-bound STGQ batch falls below ``NUMPY_KERNEL_FLOOR`` times the
-compiled kernel's, or when it trails the compiled kernel on the cache-hot
-radius-1 SGQ batch (``RADIUS1_KERNEL_FLOOR``) — kernel sweep enabled and
-numpy installed — so CI catches kernel regressions loudly.
-``--kernels-json PATH`` writes that kernel comparison on its own (the
-``BENCH_kernels.json`` artifact, radius-1 leg nested under ``"radius1"``).
+The kernel legs time the two lanes of the compiled kernel by overriding
+its pool-size threshold (``repro.graph.packed.NUMPY_MIN_CANDIDATES``):
+the ``compiled`` leg pins every pool to the bitset lane, the ``numpy`` leg
+keeps the default lane choice (vectorized from the threshold up, when
+numpy >= 2.0 is installed).  The script exits non-zero when the p >= 6
+aggregate reference/compiled speedup falls below the 3x acceptance floor,
+or when the ``numpy`` leg's solve throughput on the solver-bound STGQ batch
+falls below ``NUMPY_KERNEL_FLOOR`` times the ``compiled`` leg's, or when it
+trails it on the cache-hot radius-1 SGQ batch (``RADIUS1_KERNEL_FLOOR``) —
+kernel sweep enabled and numpy installed — so CI catches kernel
+regressions loudly.  ``--kernels-json PATH`` writes that lane comparison on
+its own (the ``BENCH_kernels.json`` artifact, radius-1 leg nested under
+``"radius1"``).
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import os
 import random
@@ -68,7 +74,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core import SearchParameters, SGQuery, SGSelect, STGQuery
 from repro.exceptions import QueryError
@@ -79,22 +85,24 @@ from repro.experiments.workloads import (
     pick_initiator,
     workload,
 )
+from repro.graph import packed
 from repro.graph.packed import numpy_kernel_available
 from repro.service import QueryService, RemoteBackend, ShardMap
 from repro.service.codec import request_for
 from repro.service.net import start_local_workers
 
 SPEEDUP_FLOOR = 3.0
-#: Acceptance floor for the vectorized kernel: solve throughput on the
-#: solver-bound radius-2 STGQ batch, numpy vs compiled, single thread.
+#: Acceptance floor for the vectorized lane: solve throughput on the
+#: solver-bound radius-2 STGQ batch, ``numpy`` leg vs ``compiled`` leg,
+#: single thread.
 #: Raised from 1.3 once cascade batching removed the per-node numpy
 #: dispatch overhead from forced chains (measured ~1.47x on 1 CPU).
 NUMPY_KERNEL_FLOOR = 1.35
-#: Floor for the cache-hot radius-1 SGQ batch: small egos used to be the
-#: numpy kernel's worst case (array setup swamped the solve, ~0.65x).
-#: Small-instance routing (``NUMPY_MIN_CANDIDATES``) now sends them down
-#: the bitset expansion, so the structural ratio is parity; the floor sits
-#: a hair under 1.0 purely for timer noise between the interleaved passes.
+#: Floor for the cache-hot radius-1 SGQ batch: small egos are the
+#: vectorized lane's worst case (array setup swamped the solve, ~0.65x).
+#: The pool-size threshold (``NUMPY_MIN_CANDIDATES``) sends them down the
+#: bitset lane, so the structural ratio is parity; the floor sits a hair
+#: under 1.0 purely for timer noise between the interleaved passes.
 RADIUS1_KERNEL_FLOOR = 0.97
 FIG1A = dict(radius=1, acquaintance=2, group_sizes=(3, 4, 5, 6, 7))
 HEAVY = dict(radius=2, acquaintance=2, group_sizes=(5, 6, 7))
@@ -102,6 +110,28 @@ HEAVY = dict(radius=2, acquaintance=2, group_sizes=(5, 6, 7))
 #: both sides must load the identical seeded graph or results diverge.
 DATASET_PEOPLE = 194
 DATASET_DAYS = 1
+
+
+@contextlib.contextmanager
+def _leg(name: str) -> Iterator[SearchParameters]:
+    """Search parameters for one timed leg, with its lane pinned meanwhile.
+
+    ``reference`` is the reference kernel; ``compiled`` is the compiled
+    kernel pinned to its bitset lane (threshold out of reach); ``numpy`` is
+    the compiled kernel with its default lane choice.
+    """
+    saved = packed.NUMPY_MIN_CANDIDATES
+    if name == "compiled":
+        packed.NUMPY_MIN_CANDIDATES = sys.maxsize
+    try:
+        yield SearchParameters(kernel="reference" if name == "reference" else "compiled")
+    finally:
+        packed.NUMPY_MIN_CANDIDATES = saved
+
+
+def _legs(*names: str) -> List[str]:
+    """``names`` plus the ``numpy`` leg when the vectorized lane can run."""
+    return list(names) + (["numpy"] if numpy_kernel_available() else [])
 
 
 def _time_solve(solver: SGSelect, query: SGQuery, repeats: int) -> Tuple[float, object]:
@@ -123,15 +153,12 @@ def kernel_sweep(
     group_sizes,
     repeats: int,
 ) -> Tuple[float, float]:
-    """Run one SGQ sweep on every kernel; return aggregate tail times (ref, compiled).
+    """Run one SGQ sweep on every leg; return aggregate tail times (ref, compiled).
 
     The numpy column joins automatically when the interpreter has
-    numpy >= 2.0 (otherwise the sweep is the historical two-kernel table).
+    numpy >= 2.0 (otherwise the sweep is the historical two-column table).
     """
-    kernels = ["reference", "compiled"] + (["numpy"] if numpy_kernel_available() else [])
-    solvers = {
-        kernel: SGSelect(dataset.graph, SearchParameters(kernel=kernel)) for kernel in kernels
-    }
+    kernels = _legs("reference", "compiled")
     print(
         f"\n== {name}: s={radius}, k={acquaintance}, "
         f"ego={ego_size(dataset, initiator, radius)} candidates =="
@@ -150,7 +177,9 @@ def kernel_sweep(
         times = {}
         results = {}
         for kernel in kernels:
-            times[kernel], results[kernel] = _time_solve(solvers[kernel], query, repeats)
+            with _leg(kernel) as parameters:
+                solver = SGSelect(dataset.graph, parameters)
+                times[kernel], results[kernel] = _time_solve(solver, query, repeats)
             totals[kernel] += times[kernel]
             if p >= 6:
                 tails[kernel] += times[kernel]
@@ -171,36 +200,36 @@ def kernel_sweep(
 
 
 def _kernel_batch_throughput(dataset, batch, passes: int) -> Dict[str, object]:
-    """Warm-cache, serial-backend throughput of one batch per kernel.
+    """Warm-cache, serial-backend throughput of one batch per leg.
 
-    The kernels' timing passes are *interleaved* (compiled, numpy,
+    The legs' timing passes are *interleaved* (compiled, numpy,
     compiled, ...) rather than run as two sequential blocks: on a shared
     1-CPU runner, frequency drift and neighbour load change over the tens
     of seconds a block takes, and sequential blocks fold that drift
     straight into the reported ratio.  Alternating passes expose both
-    kernels to the same conditions, so best-of-``passes`` compares like
-    with like.
+    legs to the same conditions, so best-of-``passes`` compares like
+    with like.  Each leg warms its own service's cache under its own lane,
+    so the ``numpy`` leg's cache entries carry the packed matrix.
     """
     measured: Dict[str, object] = {"queries": len(batch), "passes": passes}
-    kernels = ["compiled"] + (["numpy"] if numpy_kernel_available() else [])
+    kernels = _legs("compiled")
     services = {}
     try:
         for kernel in kernels:
-            service = QueryService(
-                dataset.graph,
-                dataset.calendars,
-                parameters=SearchParameters(kernel=kernel),
-                backend="serial",
-            )
-            service.__enter__()
-            service.solve_many(batch)  # warm the ego-network cache
+            with _leg(kernel) as parameters:
+                service = QueryService(
+                    dataset.graph, dataset.calendars, parameters=parameters, backend="serial"
+                )
+                service.__enter__()
+                service.solve_many(batch)  # warm the ego-network cache
             services[kernel] = service
         best = {kernel: float("inf") for kernel in kernels}
         for _ in range(passes):
             for kernel in kernels:
-                start = time.perf_counter()
-                services[kernel].solve_many(batch)
-                best[kernel] = min(best[kernel], time.perf_counter() - start)
+                with _leg(kernel):
+                    start = time.perf_counter()
+                    services[kernel].solve_many(batch)
+                    best[kernel] = min(best[kernel], time.perf_counter() - start)
     finally:
         for service in services.values():
             service.__exit__(None, None, None)
@@ -215,18 +244,18 @@ def _kernel_batch_throughput(dataset, batch, passes: int) -> Dict[str, object]:
 
 
 def kernel_throughput(dataset, stgq_batch, quick: bool, sgq_batch=None) -> Dict[str, object]:
-    """Single-thread solve throughput of the compiled and numpy kernels.
+    """Single-thread solve throughput of the compiled kernel's two lanes.
 
     Runs the solver-bound radius-2 STGQ batch through a serial-backend
-    service once per kernel (warm ego-network cache, best of several
-    passes), i.e. a pure kernel comparison with no executor in the way —
-    the measurement behind the ``BENCH_kernels.json`` artifact and the
+    service once per leg (warm ego-network cache, best of several passes),
+    i.e. a pure kernel comparison with no executor in the way — the
+    measurement behind the ``BENCH_kernels.json`` artifact and the
     numpy-vs-compiled acceptance gate (``NUMPY_KERNEL_FLOOR``).
 
     When ``sgq_batch`` is given, a second leg times the cache-hot radius-1
-    SGQ batch — the small-ego regime where the numpy kernel historically
-    trailed the compiled one — under its own ``RADIUS1_KERNEL_FLOOR``
-    (nested in the report as ``"radius1"``).
+    SGQ batch — the small-ego regime where the vectorized lane would trail
+    the bitset one — under its own ``RADIUS1_KERNEL_FLOOR`` (nested in the
+    report as ``"radius1"``).
     """
     passes = 3 if quick else 4
     print("\n== kernel throughput: solver-bound radius-2 STGQ batch (serial backend) ==")
@@ -509,8 +538,9 @@ def main(argv=None) -> int:
         "--kernels-json",
         metavar="PATH",
         default=None,
-        help="write the kernel-throughput comparison (compiled vs numpy on "
-        "the solver-bound STGQ batch) as JSON to PATH (BENCH_kernels.json)",
+        help="write the kernel-throughput comparison (bitset lane vs default "
+        "lane choice on the solver-bound STGQ batch) as JSON to PATH "
+        "(BENCH_kernels.json)",
     )
     parser.add_argument(
         "--kernel-sweep",
@@ -607,7 +637,7 @@ def main(argv=None) -> int:
         if not numpy_kernel_available():
             print(
                 "FAIL: --kernels-json requires numpy >= 2.0 (the [speed] extra) "
-                "to measure the vectorized kernel",
+                "to measure the vectorized lane",
                 file=sys.stderr,
             )
             return 1
@@ -803,7 +833,7 @@ def main(argv=None) -> int:
         ratio = kernels_report["numpy_vs_compiled"]
         if ratio < NUMPY_KERNEL_FLOOR:
             print(
-                f"FAIL: numpy kernel at {ratio:.2f}x compiled throughput, "
+                f"FAIL: numpy leg at {ratio:.2f}x compiled throughput, "
                 f"below the {NUMPY_KERNEL_FLOOR:.2f}x floor",
                 file=sys.stderr,
             )
@@ -811,7 +841,7 @@ def main(argv=None) -> int:
         radius1 = kernels_report.get("radius1", {})
         if "numpy_vs_compiled" in radius1 and radius1["numpy_vs_compiled"] < RADIUS1_KERNEL_FLOOR:
             print(
-                f"FAIL: numpy kernel at {radius1['numpy_vs_compiled']:.2f}x compiled "
+                f"FAIL: numpy leg at {radius1['numpy_vs_compiled']:.2f}x compiled "
                 f"throughput on the radius-1 SGQ batch, below the "
                 f"{RADIUS1_KERNEL_FLOOR:.2f}x floor",
                 file=sys.stderr,

@@ -47,7 +47,7 @@ def test_feasible_graph_extraction(benchmark, real_dataset, real_initiator, radi
 @pytest.mark.benchmark(group="substrate-graph")
 @pytest.mark.skipif(not numpy_kernel_available(), reason="needs numpy >= 2.0")
 def test_pack_adjacency(benchmark, real_dataset, real_initiator):
-    """Cost of deriving the numpy kernel's packed matrix (paid on cache miss)."""
+    """Cost of deriving the vectorized lane's packed matrix (paid on cache miss)."""
     feasible = extract_feasible_graph(real_dataset.graph, real_initiator, 2)
     compiled = compile_feasible_graph(feasible)
     packed = benchmark.pedantic(lambda: pack_adjacency(compiled), **ROUNDS)
@@ -58,7 +58,7 @@ def test_pack_adjacency(benchmark, real_dataset, real_initiator):
 @pytest.mark.benchmark(group="substrate-graph")
 @pytest.mark.skipif(not numpy_kernel_available(), reason="needs numpy >= 2.0")
 def test_packed_intersect_counts(benchmark, real_dataset, real_initiator):
-    """The numpy kernel's workhorse reduction: whole-pool AND + popcount."""
+    """The vectorized lane's workhorse reduction: whole-pool AND + popcount."""
     feasible = extract_feasible_graph(real_dataset.graph, real_initiator, 2)
     compiled = compile_feasible_graph(feasible)
     packed = pack_adjacency(compiled)

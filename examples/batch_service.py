@@ -51,9 +51,8 @@ def main() -> None:
           f"{dataset.graph.edge_count} friendships, {dataset.calendars.horizon} slots")
 
     # 2. One long-lived service bound to it.  The default SearchParameters
-    #    select the compiled bitset kernel; pass
-    #    SearchParameters(kernel="reference") to compare with the pure-Python
-    #    reference implementation.
+    #    select the compiled kernel; pass SearchParameters(kernel="reference")
+    #    to compare with the pure-Python reference implementation.
     service = QueryService(dataset.graph, dataset.calendars, cache_size=64)
 
     # 3. Simulate traffic: 200 social queries from 12 active users.  Real

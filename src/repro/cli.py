@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--kernel",
             choices=list(VALID_KERNELS),
             default="compiled",
-            help="branch-and-bound kernel (default compiled; 'numpy' needs "
-            "the [speed] extra and falls back to compiled without it)",
+            help="branch-and-bound kernel (default compiled; it vectorizes "
+            "large candidate pools when numpy >= 2.0 is installed)",
         )
 
     def add_traffic_arguments(sub: argparse.ArgumentParser) -> None:
@@ -906,41 +906,38 @@ def _build_gateway_service(
     )
 
 
+def _gateway_backend(args: argparse.Namespace):
+    """``(backend, placement, dataset)`` for ``serve`` and ``http``.
+
+    Checks ``--placement`` against ``--backend``, builds the
+    :class:`RemoteBackend` for ``--backend remote`` (which consumes the
+    placement map) and loads the dataset.  Usage mistakes (missing or
+    malformed ``--connect``, bad ``--timeout``, a junk ``--placement`` file,
+    an unreadable ``--graph``) raise :class:`ReproError`, which callers
+    answer like argparse does (stderr + exit 2), not with a traceback.
+    """
+    placement = _resolve_placement(args)
+    if placement is not None and args.backend not in ("process", "remote"):
+        raise QueryError(
+            f"--placement applies to --backend process or remote, not {args.backend!r}"
+        )
+    backend = args.backend
+    if backend == "remote":
+        if not args.connect:
+            raise QueryError("--backend remote requires --connect host:port[,host:port...]")
+        backend = RemoteBackend(args.connect, timeout=args.timeout, placement=placement)
+        placement = None  # consumed by the backend instance
+    return backend, placement, _load_service_dataset(args)
+
+
 def _shutdown_code(exc: SystemExit) -> int:
     print("signal received; service closed cleanly", file=sys.stderr)
     return exc.code if isinstance(exc.code, int) else 130
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    # Usage mistakes (missing/malformed --connect, bad --timeout, a junk
-    # --placement file) are answered like argparse does (stderr + exit 2),
-    # not a traceback.
     try:
-        placement = _resolve_placement(args)
-        if placement is not None and args.backend not in ("process", "remote"):
-            raise QueryError(
-                f"--placement applies to --backend process or remote, not {args.backend!r}"
-            )
-    except QueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.backend == "remote":
-        if not args.connect:
-            print(
-                "error: --backend remote requires --connect host:port[,host:port...]",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            backend = RemoteBackend(args.connect, timeout=args.timeout, placement=placement)
-        except QueryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        placement = None  # consumed by the backend instance
-    else:
-        backend = args.backend
-    try:
-        dataset = _load_service_dataset(args)
+        backend, placement, dataset = _gateway_backend(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -972,15 +969,7 @@ def _command_worker(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     host, port = args.listen
-    service = QueryService(
-        dataset.graph,
-        dataset.calendars,
-        parameters=SearchParameters(kernel=args.kernel),
-        cache_size=args.cache_size,
-        max_workers=args.workers,
-        backend=args.backend,
-    )
-    with service:
+    with _build_gateway_service(args, dataset, args.backend) as service:
         code = run_worker(service, host, port, announce=sys.stdout, placement=placement)
         stats = service.stats()
         info = service.cache_info()
@@ -1007,31 +996,7 @@ def _command_http(args: argparse.Namespace) -> int:
         print(f"error: --max-queue must be >= 0, got {args.max_queue}", file=sys.stderr)
         return 2
     try:
-        placement = _resolve_placement(args)
-        if placement is not None and args.backend not in ("process", "remote"):
-            raise QueryError(
-                f"--placement applies to --backend process or remote, not {args.backend!r}"
-            )
-    except QueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.backend == "remote":
-        if not args.connect:
-            print(
-                "error: --backend remote requires --connect host:port[,host:port...]",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            backend = RemoteBackend(args.connect, timeout=args.timeout, placement=placement)
-        except QueryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        placement = None  # consumed by the backend instance
-    else:
-        backend = args.backend
-    try:
-        dataset = _load_service_dataset(args)
+        backend, placement, dataset = _gateway_backend(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1137,13 +1102,7 @@ def _command_cluster(args: argparse.Namespace) -> int:
             except QueryError as exc:  # e.g. --timeout 0: usage error, not a traceback
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            service = QueryService(
-                dataset.graph,
-                dataset.calendars,
-                parameters=SearchParameters(kernel=args.kernel),
-                cache_size=args.cache_size,
-                backend=backend,
-            )
+            service = _build_gateway_service(args, dataset, backend)
             return _service_session(args, dataset, service)
         except SystemExit as exc:
             return _shutdown_code(exc)

@@ -154,7 +154,7 @@ def unfamiliarity_measures_packed(
     strangers: Sequence[int],
     members_mask: int,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """``U(VS ∪ {u})`` for *every* id ``u`` at once (numpy kernel).
+    """``U(VS ∪ {u})`` for *every* id ``u`` at once (vectorized lane).
 
     Whole-pool counterpart of the unfamiliarity half of
     :func:`candidate_measures_bitset`: one ``bitwise_count`` reduction gives
@@ -203,10 +203,10 @@ def expansibility_member_terms(
     changes ``|VA ∩ N_u|``) — a pure scalar computation per candidate.
 
     ``base_counts`` holds ``|VA₀ ∩ N_i|`` for a *base* pool ``VA₀``;
-    ``pending_mask`` lists the ids removed from ``VA₀`` since (the numpy
-    kernels batch removals this way instead of touching the array), so the
-    current count for a member ``v`` is ``base_counts[v] - |pending ∩
-    N_v|``.  The terms align with ``member_ids``; the kernels keep them
+    ``pending_mask`` lists the ids removed from ``VA₀`` since (the
+    vectorized lanes batch removals this way instead of touching the
+    array), so the current count for a member ``v`` is ``base_counts[v] -
+    |pending ∩ N_v|``.  The terms align with ``member_ids``; the kernels keep them
     current across further removals with plain int updates
     (``terms[j] -= adj(c, member_ids[j])``).
     """

@@ -27,7 +27,11 @@ Two interchangeable kernels drive the inner loop (selected via
   bitmasks, the measures become AND/popcount expressions, and the
   per-member stranger counters behind ``U``/``A`` are maintained
   *incrementally* across include/backtrack instead of being recomputed
-  from scratch per candidate.
+  from scratch per candidate.  Large pools take the vectorized lane
+  (:meth:`SGSelect._expand_numpy`, whole-pool reductions over the packed
+  matrix of :mod:`repro.graph.packed`) instead of the bitset lane
+  (:meth:`SGSelect._expand_bitset`); :func:`~repro.graph.packed.use_vectorized`
+  decides.
 * ``"reference"`` — the original pure-Python set-based loop, kept as the
   executable specification.  Both kernels visit the identical search tree
   and produce identical results and statistics (asserted by the
@@ -47,7 +51,7 @@ from ..exceptions import InfeasibleQueryError
 from .context import SearchContext, record_into
 from ..graph.compiled import CompiledFeasibleGraph, compile_feasible_graph
 from ..graph.extraction import FeasibleGraph, extract_query_forms
-from ..graph.packed import PackedAdjacency, pack_adjacency
+from ..graph.packed import PackedAdjacency, pack_adjacency, use_vectorized
 from ..graph.social_graph import SocialGraph
 from ..types import Vertex
 from .ordering import (
@@ -83,13 +87,6 @@ RecordFn = Callable[[Set[Vertex], float], None]
 #: lane (same integer measures, same precomputed right-hand sides), so the
 #: search tree and the stats don't depend on the threshold.
 LAZY_MEASURE_THRESHOLD = 4
-
-#: Below this many candidates the numpy kernel routes the whole search to
-#: the compiled bitset expansion: array setup costs more than it saves on
-#: sub-millisecond egos (the cache-hot radius-1 regime), and the two
-#: expansions visit the identical tree with identical stats — pinned by
-#: the kernel-equivalence suite — so routing is invisible in the results.
-NUMPY_MIN_CANDIDATES = 48
 
 
 class SGSelect:
@@ -159,8 +156,8 @@ class SGSelect:
             the pool or the reference kernel is selected.
         packed_graph:
             Optional pre-packed ``uint64`` matrix form of ``compiled_graph``
-            (numpy kernel only; same id layout required, so it is discarded
-            whenever ``compiled_graph`` is).
+            (vectorized lane only; same id layout required, so it is
+            discarded whenever ``compiled_graph`` is).
         context:
             Optional :class:`~repro.core.context.SearchContext` this solve's
             kernel statistics are recorded into (in addition to the returned
@@ -251,7 +248,7 @@ class SGSelect:
         if kernel != "reference":
             compiled = compiled_graph or compile_feasible_graph(feasible_graph, candidates)
             strangers = [0] * len(compiled)
-            if kernel == "numpy" and compiled.candidate_count >= NUMPY_MIN_CANDIDATES:
+            if use_vectorized(compiled.candidate_count):
                 packed = packed_graph or pack_adjacency(compiled)
                 self._expand_numpy(
                     compiled=compiled,
@@ -298,7 +295,7 @@ class SGSelect:
         return best["members"], float(best["distance"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
-    # compiled kernel
+    # compiled kernel, bitset lane
     # ------------------------------------------------------------------
     def _expand_bitset(
         self,
@@ -429,7 +426,7 @@ class SGSelect:
             deferred_mask &= ~sel_bit
 
     # ------------------------------------------------------------------
-    # numpy kernel
+    # compiled kernel, vectorized lane
     # ------------------------------------------------------------------
     def _expand_numpy(
         self,
@@ -459,7 +456,7 @@ class SGSelect:
           ``|VS - N_u|``, one vectorized evaluation per node (they depend
           only on ``VS``, fixed for the node's lifetime), materialised as
           Python lists so each considered candidate costs two list lookups
-          instead of the compiled kernel's per-candidate member loop;
+          instead of the bitset lane's per-candidate member loop;
         * ``base_counts`` + ``pending_mask`` — per-id ``|VA ∩ N_i|`` in
           copy-on-write form: ``base_counts`` holds the counts for a base
           pool and is *shared* down the tree (children receive the same

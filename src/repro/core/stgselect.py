@@ -19,9 +19,11 @@ STGSelect extends SGSelect along the temporal dimension:
 Like SGSelect, two interchangeable kernels drive the per-pivot inner loop
 (``SearchParameters.kernel``): the default ``"compiled"`` kernel runs on the
 dense-id bitmask form of the feasible graph (incremental stranger counters,
-AND/popcount measures, per-slot busy masks for Lemma 5), while
-``"reference"`` keeps the original set-based loop as the executable
-specification.  Both visit the identical search tree.
+AND/popcount measures, per-slot busy masks for Lemma 5) — on the vectorized
+lane for large pools, as decided by
+:func:`~repro.graph.packed.use_vectorized` — while ``"reference"`` keeps the
+original set-based loop as the executable specification.  Both visit the
+identical search tree.
 
 The returned :class:`~repro.core.result.STGroupResult` carries the selected
 activity period, the pivot it was anchored at, and the full shared run.
@@ -37,7 +39,7 @@ from ..exceptions import InfeasibleQueryError, ScheduleError
 from .context import SearchContext, record_into
 from ..graph.compiled import CompiledFeasibleGraph, compile_feasible_graph
 from ..graph.extraction import FeasibleGraph, extract_query_forms
-from ..graph.packed import PackedAdjacency, busy_slot_masks, pack_adjacency
+from ..graph.packed import PackedAdjacency, busy_slot_masks, pack_adjacency, use_vectorized
 from ..graph.social_graph import SocialGraph
 from ..temporal.calendars import CalendarStore
 from ..temporal.pivot import PivotWindow, pivot_windows
@@ -66,7 +68,7 @@ from .pruning import (
 )
 from .query import STGQuery, SearchParameters
 from .result import STGroupResult, SearchStats
-from .sgselect import LAZY_MEASURE_THRESHOLD, NUMPY_MIN_CANDIDATES
+from .sgselect import LAZY_MEASURE_THRESHOLD
 
 __all__ = ["STGSelect", "stg_select"]
 
@@ -133,16 +135,13 @@ class STGSelect:
             feasible_graph, compiled_graph, packed_graph = extract_query_forms(
                 self.graph, query.initiator, query.radius, self.parameters.kernel
             )
-        kernel = self.parameters.kernel
-        use_bitset = kernel != "reference"
+        use_bitset = self.parameters.kernel != "reference"
         compiled: Optional[CompiledFeasibleGraph] = None
         packed: Optional[PackedAdjacency] = None
         use_numpy = False
         if use_bitset:
             compiled = compiled_graph or compile_feasible_graph(feasible_graph)
-            # Small egos route to the bitset expansion even on the numpy
-            # kernel (see NUMPY_MIN_CANDIDATES) — identical tree and stats.
-            use_numpy = kernel == "numpy" and compiled.candidate_count >= NUMPY_MIN_CANDIDATES
+            use_numpy = use_vectorized(compiled.candidate_count)
             if use_numpy:
                 packed = packed_graph or pack_adjacency(compiled)
 
@@ -237,7 +236,7 @@ class STGSelect:
         return SlotRange(start, start + m - 1)
 
     # ------------------------------------------------------------------
-    # per-pivot search (compiled kernel)
+    # per-pivot search (compiled kernel, bitset lane)
     # ------------------------------------------------------------------
     def _search_pivot_bitset(
         self,
@@ -272,9 +271,9 @@ class STGSelect:
 
         # Per-slot busy masks over the pivot window turn Lemma 5's per-slot
         # candidate scan into one AND/popcount.  Built by the same helper
-        # the numpy kernel packs its busy matrix from, so the two kernels
-        # can never drift on the prune's input.  Skipped when availability
-        # pruning is ablated so the toggle isolates the strategy's full cost.
+        # the vectorized lane uses, so the two lanes can never drift on the
+        # prune's input.  Skipped when availability pruning is ablated so
+        # the toggle isolates the strategy's full cost.
         busy_masks: Dict[int, int] = {}
         if self.parameters.use_availability_pruning:
             busy_masks = dict(
@@ -460,7 +459,7 @@ class STGSelect:
             deferred_mask &= ~sel_bit
 
     # ------------------------------------------------------------------
-    # per-pivot search (numpy kernel)
+    # per-pivot search (compiled kernel, vectorized lane)
     # ------------------------------------------------------------------
     def _search_pivot_numpy(
         self,

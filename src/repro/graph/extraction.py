@@ -17,6 +17,7 @@ from ..exceptions import VertexNotFoundError
 from ..types import Vertex
 from .csr import CSRGraph, csr_available
 from .distance import bounded_distances
+from .packed import PackedAdjacency, pack_adjacency, use_vectorized, words_for
 from .social_graph import SocialGraph
 from .substrate import GraphSubstrate
 
@@ -146,9 +147,10 @@ def extract_query_forms(
     Returns ``(feasible, compiled, packed)`` — the :class:`FeasibleGraph`
     always, the :class:`~repro.graph.compiled.CompiledFeasibleGraph` when
     ``kernel`` is not ``"reference"``, and the
-    :class:`~repro.graph.packed.PackedAdjacency` when ``kernel`` is
-    ``"numpy"`` (``None`` otherwise) — the exact triple a
-    :class:`~repro.service.QueryService` cache entry holds.
+    :class:`~repro.graph.packed.PackedAdjacency` when the compiled kernel
+    will search this pool on its vectorized lane
+    (:func:`~repro.graph.packed.use_vectorized`; ``None`` otherwise) — the
+    exact triple a :class:`~repro.service.QueryService` cache entry holds.
 
     On a CSR substrate the whole pipeline is array-granular: one vectorised
     bounded-Bellman–Ford (:meth:`CSRGraph._bounded_rows`), then a single
@@ -165,10 +167,9 @@ def extract_query_forms(
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     want_compiled = kernel != "reference"
-    want_packed = kernel == "numpy"
 
     if csr_available() and isinstance(graph, CSRGraph):
-        return _extract_query_forms_csr(graph, source, radius, want_compiled, want_packed)
+        return _extract_query_forms_csr(graph, source, radius, want_compiled)
 
     dist = bounded_distances(graph, source, radius)
     feasible_vertices = _canonical_order(list(dist))
@@ -180,15 +181,13 @@ def extract_query_forms(
         from .compiled import compile_feasible_graph
 
         compiled = compile_feasible_graph(feasible)
-        if want_packed:
-            from .packed import pack_adjacency
-
+        if use_vectorized(compiled.candidate_count):
             packed = pack_adjacency(compiled)
     return feasible, compiled, packed
 
 
 def _extract_query_forms_csr(
-    graph: CSRGraph, source: Vertex, radius: int, want_compiled: bool, want_packed: bool
+    graph: CSRGraph, source: Vertex, radius: int, want_compiled: bool
 ) -> Tuple[FeasibleGraph, Optional[object], Optional[object]]:
     """CSR fast lane: build all forms from one gather of the feasible rows."""
     src_row = graph._row(source)
@@ -217,11 +216,8 @@ def _extract_query_forms_csr(
     sub = SocialGraph(vertices=key_list)
     mat = None
     adj_ints: Optional[Tuple[int, ...]] = None
-    if want_compiled or want_packed:
-        from .packed import words_for
-
-        words = words_for(m)
-        mat = np.zeros((m, words), dtype=np.uint64)
+    if want_compiled:
+        mat = np.zeros((m, words_for(m)), dtype=np.uint64)
     if pos.size:
         targets = graph._indices[pos].astype(np.int64, copy=False)
         uid_of_row = np.full(graph._n, -1, dtype=np.int64)
@@ -257,8 +253,6 @@ def _extract_query_forms_csr(
             adj_ints,
             tuple(dist_arr[universe_rows].tolist()),
         )
-        if want_packed:
-            from .packed import PackedAdjacency
-
+        if use_vectorized(m - 1):
             packed = PackedAdjacency.from_rows(mat)
     return feasible, compiled, packed

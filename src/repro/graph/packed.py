@@ -8,19 +8,19 @@ per-candidate interior-unfamiliarity / exterior-expansibility scan, Lemma
 5's per-slot busy counts).  This module packs the same adjacency into a
 ``(n, ceil(n / 64))`` ``uint64`` matrix so those loops become whole-pool
 ``np.bitwise_and`` + ``np.bitwise_count`` reductions — the substrate of the
-``kernel="numpy"`` search paths in SGSelect/STGSelect.
+compiled kernel's vectorized lane in SGSelect/STGSelect.
 
 The int-bitmask representation stays the search state's source of truth
 (``VS`` / ``VA`` / deferred masks are still Python ints, shared with the
-compiled kernel); :func:`mask_to_row` / :func:`row_to_mask` convert between
-a mask and its packed row in O(words) C-level work, so the two views never
+bitset lane); :func:`mask_to_row` / :func:`row_to_mask` convert between a
+mask and its packed row in O(words) C-level work, so the two views never
 drift.
 
-numpy is an *optional* dependency (the ``[speed]`` extra): this module
-imports without it, :func:`numpy_kernel_available` reports whether the
-vectorized kernel can run (numpy >= 2.0 for ``np.bitwise_count``), and
-:class:`~repro.core.query.SearchParameters` degrades ``kernel="numpy"`` to
-``"compiled"`` with a warning when it cannot.
+:func:`use_vectorized` is the one place the lane is chosen: extraction
+(pack or not), the service cache entry and both solvers all ask it.  numpy
+is an *optional* dependency (the ``[speed]`` extra): this module imports
+without it, and without numpy >= 2.0 (``np.bitwise_count``) every pool runs
+the bitset lane.
 
 Like :class:`~repro.graph.compiled.CompiledFeasibleGraph`, a
 :class:`PackedAdjacency` is immutable after construction, so one instance is
@@ -51,14 +51,22 @@ __all__ = [
     "pack_masks",
     "row_popcount",
     "row_to_mask",
+    "use_vectorized",
 ]
 
 #: Bits per packed word.
 WORD_BITS = 64
 
+#: Below this many candidates the compiled kernel runs the bitset lane:
+#: array setup costs more than it saves on sub-millisecond egos (the
+#: cache-hot radius-1 regime).  Both lanes visit the identical tree with
+#: identical stats — pinned by the kernel-equivalence suite, which runs
+#: every instance with this threshold forced high and forced to 0.
+NUMPY_MIN_CANDIDATES = 48
+
 
 def numpy_kernel_available() -> bool:
-    """``True`` when the vectorized kernel can run on this interpreter.
+    """``True`` when the vectorized lane can run on this interpreter.
 
     Requires numpy >= 2.0 (``np.bitwise_count``); older numpys are treated
     as absent rather than half-supported.
@@ -66,11 +74,17 @@ def numpy_kernel_available() -> bool:
     return _HAVE_BITWISE_COUNT
 
 
+def use_vectorized(candidate_count: int) -> bool:
+    """Whether the compiled kernel searches a pool of ``candidate_count``
+    candidates on the vectorized lane (and so needs the packed matrix)."""
+    return _HAVE_BITWISE_COUNT and candidate_count >= NUMPY_MIN_CANDIDATES
+
+
 def _require_numpy() -> None:
     if not _HAVE_BITWISE_COUNT:
         raise RuntimeError(
             "the packed (numpy) graph form needs numpy >= 2.0; install the "
-            "'speed' extra (pip install repro[speed]) or use kernel='compiled'"
+            "'speed' extra (pip install repro[speed])"
         )
 
 
@@ -172,7 +186,7 @@ class PackedAdjacency:
         yields every candidate's acquaintance count inside ``VS``; with
         ``row`` = the remaining row it yields Lemma 3's inner degrees and
         the expansibility neighbour counts — each a whole-pool replacement
-        for one per-candidate Python loop of the compiled kernel.
+        for one per-candidate Python loop of the bitset lane.
         """
         return np.bitwise_count(self.rows & row).sum(axis=1, dtype=np.int64)
 
@@ -217,7 +231,7 @@ class PackedAdjacency:
 
 
 def pack_adjacency(compiled: "CompiledFeasibleGraph") -> PackedAdjacency:
-    """Pack a compiled feasible graph's adjacency for the numpy kernel.
+    """Pack a compiled feasible graph's adjacency for the vectorized lane.
 
     The packed form is derived data: it carries no vertex identity of its
     own and is only valid together with the ``compiled`` graph it was built
@@ -235,8 +249,7 @@ def busy_slot_masks(
 
     ``busy[j]`` has bit ``i`` set when candidate id ``i`` (restricted to
     ``feasible_mask``) is unavailable in slot ``window.window.start + j`` —
-    the Lemma 5 input, shared by the compiled kernel's dict form and the
-    numpy kernel's packed matrix (:func:`pack_masks`).
+    the Lemma 5 input of both compiled-kernel lanes.
     """
     from .compiled import iter_bits
 

@@ -24,7 +24,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ...exceptions import ProtocolError, WorkerUnavailableError
 from .protocol import client_handshake, recv_frame, send_frame
@@ -47,19 +47,7 @@ class LocalWorkerCluster:
 
     def close(self, timeout: float = 10.0) -> None:
         """Terminate every worker (graceful SIGTERM, then SIGKILL)."""
-        for process in self.processes:
-            if process.poll() is None:
-                process.terminate()
-        deadline = time.monotonic() + timeout
-        for process in self.processes:
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                process.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
-            if process.stdout is not None:
-                process.stdout.close()
+        stop_processes(self.processes, timeout)
         self.processes = []
         self.addresses = []
 
@@ -81,15 +69,43 @@ def _repro_env() -> dict:
     return env
 
 
-def _await_ready(process: subprocess.Popen, startup_timeout: float) -> str:
-    """Read a worker's stdout until its READY line; returns ``host:port``.
+def stop_processes(processes: Sequence[subprocess.Popen], timeout: float) -> None:
+    """SIGTERM every process, then SIGKILL whatever outlives ``timeout``.
+
+    SIGTERM goes to all of them first, so their drains (workers and
+    gateways both finish in-flight work on SIGTERM) overlap and share one
+    deadline.  Each process's stdout pipe is closed once it has exited.
+    """
+    for process in processes:
+        if process.poll() is None:
+            process.terminate()
+    deadline = time.monotonic() + timeout
+    for process in processes:
+        remaining = max(0.1, deadline - time.monotonic())
+        try:
+            process.wait(timeout=remaining)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+        if process.stdout is not None:
+            process.stdout.close()
+
+
+def await_ready(
+    process: subprocess.Popen, marker: str, address_format: str, role: str, startup_timeout: float
+) -> str:
+    """Read ``process``'s stdout until its ``marker host port`` line.
+
+    Returns ``address_format.format(host, port)``; raises
+    :class:`WorkerUnavailableError` naming ``role`` when the process exits
+    first or stays silent past ``startup_timeout``.
 
     A daemon reader thread performs the blocking ``readline`` calls and the
     launcher waits on a queue with the deadline — the same trick as
     jsonl's ``_RequestReader``, and for the same reasons: ``select`` on the
     text wrapper misses lines already pulled into its buffer and cannot
     poll pipes at all on some platforms, while a bare ``readline`` would
-    ignore ``startup_timeout`` entirely for a worker that hangs silently.
+    ignore ``startup_timeout`` entirely for a process that hangs silently.
     A timed-out reader thread stays parked on ``readline`` until the
     caller's cleanup terminates the process (EOF releases it).
     """
@@ -100,23 +116,23 @@ def _await_ready(process: subprocess.Popen, startup_timeout: float) -> str:
         try:
             for line in iter(process.stdout.readline, ""):
                 parts = line.split()
-                if len(parts) == 3 and parts[0] == READY_MARKER:
-                    outcome.put(f"{parts[1]}:{parts[2]}")
+                if len(parts) == 3 and parts[0] == marker:
+                    outcome.put(address_format.format(parts[1], parts[2]))
                     return
         except (OSError, ValueError):  # pipe closed under us during cleanup
             pass
         outcome.put(None)  # EOF without a READY line
 
-    threading.Thread(target=_pump, name="stgq-cluster-ready", daemon=True).start()
+    threading.Thread(target=_pump, name=f"stgq-{role}-ready", daemon=True).start()
     try:
         address = outcome.get(timeout=startup_timeout)
     except queue.Empty:
         raise WorkerUnavailableError(
-            f"worker did not announce readiness within {startup_timeout}s"
+            f"{role} did not announce readiness within {startup_timeout}s"
         ) from None
     if address is None:
         raise WorkerUnavailableError(
-            f"worker process exited (code {process.poll()}) before announcing readiness"
+            f"{role} process exited (code {process.poll()}) before announcing readiness"
         )
     return address
 
@@ -199,7 +215,7 @@ def start_local_workers(
                 )
             )
         for process in cluster.processes:
-            address = _await_ready(process, startup_timeout)
+            address = await_ready(process, READY_MARKER, "{}:{}", "worker", startup_timeout)
             _ping(address)
             cluster.addresses.append(address)
     except BaseException:

@@ -61,10 +61,12 @@ Result = Union[GroupResult, STGroupResult]
 #: Cache key: one entry per (initiator, radius) ego network.
 CacheKey = Tuple[Vertex, int]
 #: Cache value: the extracted feasible graph plus the derived forms the
-#: configured kernel runs on (compiled bitset graph, packed uint64 matrix).
-#: Caching the derived forms next to the extraction is what lets every
-#: query of every batch over one ego network share a single compilation
-#: and a single packing.
+#: configured kernel runs on: the compiled bitset graph, and the packed
+#: uint64 matrix only for egos on the vectorized lane
+#: (:func:`~repro.graph.packed.use_vectorized`; ``None`` below the
+#: threshold).  Caching the derived forms next to the extraction is what
+#: lets every query of every batch over one ego network share a single
+#: compilation and a single packing.
 CacheEntry = Tuple[FeasibleGraph, Optional[CompiledFeasibleGraph], Optional[PackedAdjacency]]
 
 

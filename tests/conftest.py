@@ -10,11 +10,16 @@ benchmarks.
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
+from contextlib import contextmanager
+from typing import Iterator
 
 import pytest
 
+from repro.core import SGSelect, STGSelect
 from repro.datasets import load_movie_network, load_toy_example
-from repro.graph import SocialGraph
+from repro.graph import SocialGraph, packed
 from repro.temporal import CalendarStore, Schedule
 
 try:  # scipy (and the numpy it brings) is optional: the MILP comparison
@@ -27,6 +32,49 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 #: Marker for tests that exercise the scipy/numpy-backed IP solvers; the
 #: no-numpy CI leg runs the suite without scipy and these must skip cleanly.
 requires_scipy = pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+
+#: The compiled kernel's lanes: the bitset lane always, the vectorized lane
+#: when numpy >= 2.0 is installed.
+COMPILED_LANES = ("bitset",) + (("vectorized",) if packed.numpy_kernel_available() else ())
+
+
+@contextmanager
+def compiled_lane(lane: str) -> Iterator[None]:
+    """Force every compiled-kernel pool onto one lane.
+
+    Overrides the pool-size threshold behind
+    :func:`repro.graph.packed.use_vectorized`: ``"bitset"`` raises it out of
+    reach, ``"vectorized"`` drops it to 0 so even the tiny test instances
+    take the vectorized lane.
+    """
+    saved = packed.NUMPY_MIN_CANDIDATES
+    packed.NUMPY_MIN_CANDIDATES = {"bitset": sys.maxsize, "vectorized": 0}[lane]
+    try:
+        yield
+    finally:
+        packed.NUMPY_MIN_CANDIDATES = saved
+
+
+@contextmanager
+def vectorized_spy() -> Iterator[Counter]:
+    """Count calls into SGSelect's and STGSelect's vectorized expansions."""
+    calls: Counter = Counter()
+    originals = {cls: cls.__dict__["_expand_numpy"] for cls in (SGSelect, STGSelect)}
+
+    def spy(cls, original):
+        def expand(self, *args, **kwargs):
+            calls[cls.__name__] += 1
+            return original(self, *args, **kwargs)
+
+        return expand
+
+    for cls, original in originals.items():
+        cls._expand_numpy = spy(cls, original)
+    try:
+        yield calls
+    finally:
+        for cls, original in originals.items():
+            cls._expand_numpy = original
 
 
 @pytest.fixture

@@ -1,13 +1,18 @@
-"""Equivalence of every selectable kernel against the reference kernel.
+"""Equivalence of both kernels, and both compiled-kernel lanes, against
+the reference kernel.
 
-All kernels (``reference`` — the executable specification, ``compiled`` —
-int bitmasks, ``numpy`` — packed uint64 vectorization, when numpy is
-available) are required to visit the identical search tree, so the
-assertions here are strict: same feasibility, same members, same total
-distance (exact float equality — the distance sums accumulate in the same
-order), same temporal fields for STGQ, and the same search statistics.
-Randomised instances come from hypothesis; the seeded fixtures cover the
-ablation toggles and the ``allowed_candidates`` restriction.
+Every instance runs three times: on ``reference`` (the executable
+specification), and on ``compiled`` forced onto its bitset lane (int
+bitmasks) and onto its vectorized lane (packed uint64 reductions, when
+numpy >= 2.0 is installed) by overriding the pool-size threshold.  All
+three are required to visit the identical search tree, so the assertions
+here are strict: same feasibility, same members, same total distance (exact
+float equality — the distance sums accumulate in the same order), same
+temporal fields for STGQ, and the same search statistics.  A spy on the
+vectorized expansions checks that the forced lane really ran, so it cannot
+go silently dead.  Randomised instances come from hypothesis; the seeded
+fixtures cover the ablation toggles and the ``allowed_candidates``
+restriction.
 """
 
 import pytest
@@ -17,15 +22,16 @@ from hypothesis import strategies as st
 from repro.core import SearchParameters, SGQuery, SGSelect, STGQuery, STGSelect
 from repro.graph import SocialGraph, compile_feasible_graph, extract_feasible_graph
 from repro.graph.compiled import iter_bits, lowest_bit_index
-from repro.graph.packed import numpy_kernel_available
+from repro.graph.extraction import extract_query_forms
 from repro.temporal import CalendarStore, Schedule
 
-from ..conftest import make_random_calendars, make_random_graph
-
-#: Every kernel exercised by the equivalence assertions; ``numpy`` joins
-#: when the interpreter has numpy >= 2.0 (without it the fallback path is
-#: covered by tests/core/test_query.py instead).
-KERNELS = ("reference", "compiled") + (("numpy",) if numpy_kernel_available() else ())
+from ..conftest import (
+    COMPILED_LANES,
+    compiled_lane,
+    make_random_calendars,
+    make_random_graph,
+    vectorized_spy,
+)
 
 
 def _params(kernel, **kwargs):
@@ -38,37 +44,52 @@ def _strip(stats):
     return d
 
 
+def _solve_every_lane(solve):
+    """``solve(kernel)`` on the reference kernel and on each compiled lane.
+
+    Also checks the lane override held: the bitset lane never enters a
+    vectorized expansion, and the vectorized lane enters one whenever the
+    reference search expanded a node.
+    """
+    results = {"reference": solve("reference")}
+    for lane in COMPILED_LANES:
+        with compiled_lane(lane), vectorized_spy() as calls:
+            results[lane] = solve("compiled")
+        vectorized_calls = sum(calls.values())
+        if lane == "bitset":
+            assert vectorized_calls == 0
+        elif results["reference"].stats.nodes_expanded:
+            assert vectorized_calls > 0, "the vectorized lane did not run"
+    return results
+
+
 def assert_sg_equivalent(graph, query, allowed_candidates=None, **param_kwargs):
-    results = {
-        kernel: SGSelect(graph, _params(kernel, **param_kwargs)).solve(
+    results = _solve_every_lane(
+        lambda kernel: SGSelect(graph, _params(kernel, **param_kwargs)).solve(
             query, allowed_candidates=allowed_candidates
         )
-        for kernel in KERNELS
-    }
+    )
     ref = results["reference"]
-    for kernel, result in results.items():
-        assert result.feasible == ref.feasible, kernel
-        assert result.members == ref.members, kernel
-        assert result.total_distance == ref.total_distance, kernel
-        assert _strip(result.stats) == _strip(ref.stats), kernel
-    return ref, results["compiled"]
+    for lane, result in results.items():
+        assert result.feasible == ref.feasible, lane
+        assert result.members == ref.members, lane
+        assert result.total_distance == ref.total_distance, lane
+        assert _strip(result.stats) == _strip(ref.stats), lane
 
 
 def assert_stg_equivalent(graph, calendars, query, **param_kwargs):
-    results = {
-        kernel: STGSelect(graph, calendars, _params(kernel, **param_kwargs)).solve(query)
-        for kernel in KERNELS
-    }
+    results = _solve_every_lane(
+        lambda kernel: STGSelect(graph, calendars, _params(kernel, **param_kwargs)).solve(query)
+    )
     ref = results["reference"]
-    for kernel, result in results.items():
-        assert result.feasible == ref.feasible, kernel
-        assert result.members == ref.members, kernel
-        assert result.total_distance == ref.total_distance, kernel
-        assert result.period == ref.period, kernel
-        assert result.pivot == ref.pivot, kernel
-        assert result.shared_slots == ref.shared_slots, kernel
-        assert _strip(result.stats) == _strip(ref.stats), kernel
-    return ref, results["compiled"]
+    for lane, result in results.items():
+        assert result.feasible == ref.feasible, lane
+        assert result.members == ref.members, lane
+        assert result.total_distance == ref.total_distance, lane
+        assert result.period == ref.period, lane
+        assert result.pivot == ref.pivot, lane
+        assert result.shared_slots == ref.shared_slots, lane
+        assert _strip(result.stats) == _strip(ref.stats), lane
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +208,18 @@ class TestSeededEquivalence:
                 **toggle,
             )
 
+    @pytest.mark.skipif("vectorized" not in COMPILED_LANES, reason="needs numpy >= 2.0")
+    def test_vectorized_lane_is_exercised(self):
+        graph = make_random_graph(1, n=11, edge_prob=0.4)
+        calendars = make_random_calendars(501, list(graph), horizon=12, availability=0.6)
+        with compiled_lane("vectorized"), vectorized_spy() as calls:
+            SGSelect(graph).solve(SGQuery(initiator=0, group_size=5, radius=2, acquaintance=2))
+            STGSelect(graph, calendars).solve(
+                STGQuery(initiator=0, group_size=3, radius=2, acquaintance=0, activity_length=2)
+            )
+        assert calls["SGSelect"] > 0
+        assert calls["STGSelect"] > 0
+
     @pytest.mark.parametrize("seed", range(6))
     def test_allowed_candidates_restriction(self, seed):
         graph = make_random_graph(seed, n=12, edge_prob=0.45)
@@ -198,70 +231,70 @@ class TestSeededEquivalence:
 # ----------------------------------------------------------------------
 # cached-form reuse (the QueryService path)
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not numpy_kernel_available(), reason="needs numpy >= 2.0")
 class TestSharedPrecompiledForms:
     """Solvers must give identical answers when handed cached forms.
 
     The service caches (feasible, compiled, packed) per ego network and
-    passes all three into every solve of a batch; the answers (and stats)
-    must match a cold solve exactly, and a restricted candidate pool must
-    discard the cached full-pool forms rather than mis-index into them.
+    passes all three into every solve of a batch; on either lane the
+    answers (and stats) must match a cold solve exactly, and a restricted
+    candidate pool must discard the cached full-pool forms rather than
+    mis-index into them.
     """
-
-    def _forms(self, graph, initiator, radius):
-        from repro.graph.packed import pack_adjacency
-
-        feasible = extract_feasible_graph(graph, initiator, radius)
-        compiled = compile_feasible_graph(feasible)
-        return feasible, compiled, pack_adjacency(compiled)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sg_cached_forms_match_cold_solve(self, seed):
         graph = make_random_graph(seed, n=12, edge_prob=0.4)
         query = SGQuery(initiator=0, group_size=4, radius=2, acquaintance=1)
-        solver = SGSelect(graph, _params("numpy"))
-        feasible, compiled, packed = self._forms(graph, 0, 2)
-        cold = solver.solve(query)
-        warm = solver.solve(
-            query, feasible_graph=feasible, compiled_graph=compiled, packed_graph=packed
-        )
-        assert warm.members == cold.members
-        assert warm.total_distance == cold.total_distance
-        assert _strip(warm.stats) == _strip(cold.stats)
+        solver = SGSelect(graph, _params("compiled"))
+        for lane in COMPILED_LANES:
+            with compiled_lane(lane):
+                feasible, compiled, packed = extract_query_forms(graph, 0, 2, "compiled")
+                assert (packed is not None) == (lane == "vectorized")
+                cold = solver.solve(query)
+                warm = solver.solve(
+                    query, feasible_graph=feasible, compiled_graph=compiled, packed_graph=packed
+                )
+            assert warm.members == cold.members
+            assert warm.total_distance == cold.total_distance
+            assert _strip(warm.stats) == _strip(cold.stats)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stg_cached_forms_match_cold_solve(self, seed):
         graph = make_random_graph(seed, n=11, edge_prob=0.4)
         calendars = make_random_calendars(seed + 9, list(graph), horizon=10, availability=0.6)
         query = STGQuery(initiator=0, group_size=4, radius=2, acquaintance=1, activity_length=2)
-        solver = STGSelect(graph, calendars, _params("numpy"))
-        feasible, compiled, packed = self._forms(graph, 0, 2)
-        cold = solver.solve(query)
-        warm = solver.solve(
-            query, feasible_graph=feasible, compiled_graph=compiled, packed_graph=packed
-        )
-        assert warm.members == cold.members
-        assert warm.total_distance == cold.total_distance
-        assert warm.period == cold.period
-        assert _strip(warm.stats) == _strip(cold.stats)
+        solver = STGSelect(graph, calendars, _params("compiled"))
+        for lane in COMPILED_LANES:
+            with compiled_lane(lane):
+                feasible, compiled, packed = extract_query_forms(graph, 0, 2, "compiled")
+                cold = solver.solve(query)
+                warm = solver.solve(
+                    query, feasible_graph=feasible, compiled_graph=compiled, packed_graph=packed
+                )
+            assert warm.members == cold.members
+            assert warm.total_distance == cold.total_distance
+            assert warm.period == cold.period
+            assert _strip(warm.stats) == _strip(cold.stats)
 
     def test_restricted_pool_discards_cached_forms(self):
         graph = make_random_graph(3, n=12, edge_prob=0.45)
         allowed = {v for v in graph if isinstance(v, int) and v % 2 == 0}
         query = SGQuery(initiator=0, group_size=4, radius=2, acquaintance=2)
-        solver = SGSelect(graph, _params("numpy"))
-        feasible, compiled, packed = self._forms(graph, 0, 2)
-        restricted = solver.solve(
-            query,
-            allowed_candidates=allowed,
-            feasible_graph=feasible,
-            compiled_graph=compiled,
-            packed_graph=packed,
-        )
-        baseline = solver.solve(query, allowed_candidates=allowed)
-        assert restricted.members == baseline.members
-        assert restricted.total_distance == baseline.total_distance
-        assert _strip(restricted.stats) == _strip(baseline.stats)
+        solver = SGSelect(graph, _params("compiled"))
+        for lane in COMPILED_LANES:
+            with compiled_lane(lane):
+                feasible, compiled, packed = extract_query_forms(graph, 0, 2, "compiled")
+                restricted = solver.solve(
+                    query,
+                    allowed_candidates=allowed,
+                    feasible_graph=feasible,
+                    compiled_graph=compiled,
+                    packed_graph=packed,
+                )
+                baseline = solver.solve(query, allowed_candidates=allowed)
+            assert restricted.members == baseline.members
+            assert restricted.total_distance == baseline.total_distance
+            assert _strip(restricted.stats) == _strip(baseline.stats)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Property tests for the packed (numpy uint64) graph form.
 
-The packed matrix is the numpy kernel's substrate; its contract is exact
-round-tripping against the Python-int bitmask representation the compiled
-kernel (and the search state) uses.  Hypothesis drives the mask round-trip,
+The packed matrix is the substrate of the compiled kernel's vectorized
+lane; its contract is exact round-tripping against the Python-int bitmask
+representation the bitset lane (and the search state) uses.  Hypothesis drives the mask round-trip,
 popcount-parity and lowest-set-bit-parity properties, including the
 ``n % 64 == 0`` word-boundary case; the remaining tests pin the derived
 structure (``PackedAdjacency`` rows, columns, indicator, reductions) to the
@@ -17,7 +17,9 @@ np = pytest.importorskip("numpy")
 
 from repro.graph import compile_feasible_graph, extract_feasible_graph  # noqa: E402
 from repro.graph.compiled import iter_bits, lowest_bit_index  # noqa: E402
+from repro.graph import packed  # noqa: E402
 from repro.graph.packed import (  # noqa: E402
+    NUMPY_MIN_CANDIDATES,
     PackedAdjacency,
     mask_to_row,
     numpy_kernel_available,
@@ -25,6 +27,7 @@ from repro.graph.packed import (  # noqa: E402
     pack_masks,
     row_popcount,
     row_to_mask,
+    use_vectorized,
     words_for,
 )
 
@@ -42,6 +45,20 @@ def masks_with_width(draw):
     width = draw(st.sampled_from(BOUNDARY_WIDTHS) | st.integers(1, 200))
     mask = draw(st.integers(0, (1 << width) - 1))
     return mask, words_for(width)
+
+
+class TestLaneSelection:
+    def test_threshold_boundary(self):
+        assert not use_vectorized(NUMPY_MIN_CANDIDATES - 1)
+        assert use_vectorized(NUMPY_MIN_CANDIDATES)
+
+    def test_bitset_lane_without_bitwise_count(self, monkeypatch):
+        monkeypatch.setattr(packed, "_HAVE_BITWISE_COUNT", False)
+        assert not use_vectorized(10 * NUMPY_MIN_CANDIDATES)
+
+    def test_threshold_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(packed, "NUMPY_MIN_CANDIDATES", 0)
+        assert use_vectorized(0)
 
 
 class TestMaskRowRoundTrip:

@@ -9,6 +9,8 @@ through a :class:`QueryService` whether the graph is the adjacency dict or
 an mmap'd ``.stgq`` file behind the process backend.
 """
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from repro.graph import (
 )
 from repro.temporal import CalendarStore, Schedule
 
-from ..conftest import make_random_calendars, make_random_graph
+from ..conftest import COMPILED_LANES, compiled_lane, make_random_calendars, make_random_graph
 
 pytestmark = pytest.mark.skipif(not csr_available(), reason="CSR substrate needs numpy")
 
@@ -334,27 +336,37 @@ class TestValidationContract:
 class TestScaleSpotCheck:
     """A 10^5-vertex seeded graph: the CSR extraction fast lane must produce
     byte-identical query forms to the dict generic path — feasible graph,
-    compiled bitmasks and packed matrix alike."""
+    compiled bitmasks and packed matrix alike — for the reference kernel and
+    for each lane of the compiled kernel."""
 
     def test_100k_extraction_byte_identical(self):
         from repro.datasets import generate_scale_dataset
 
         csr = generate_scale_dataset(100_000, seed=7).graph
         dict_graph = csr.to_social_graph()
+        runs = [("reference", None)] + [("compiled", lane) for lane in COMPILED_LANES]
         # 1009's radius-2 ego holds ~6.5k vertices; 31337's is a sparse
         # fringe of ~80 — one dense and one shallow neighbourhood, while
         # keeping the compiled-form comparison affordable for tier 1.
         for initiator in (1009, 31_337):
-            fd, cd, pd = extract_query_forms(dict_graph, initiator, 2, kernel="numpy")
-            fc, cc, pc = extract_query_forms(csr, initiator, 2, kernel="numpy")
-            assert fd.distances == fc.distances
-            assert list(fd.distances) == list(fc.distances)
-            assert fd.candidates == fc.candidates
-            for v in fd.graph:
-                assert fd.graph.adjacency(v) == fc.graph.adjacency(v)
-            assert cc.vertices == cd.vertices
-            assert cc.index == cd.index
-            assert cc.dist == cd.dist
-            assert cc.adj == cd.adj
-            assert cc.candidate_mask == cd.candidate_mask
-            assert pc.rows.tobytes() == pd.rows.tobytes()
+            for kernel, lane in runs:
+                with compiled_lane(lane) if lane else nullcontext():
+                    fd, cd, pd = extract_query_forms(dict_graph, initiator, 2, kernel=kernel)
+                    fc, cc, pc = extract_query_forms(csr, initiator, 2, kernel=kernel)
+                assert fd.distances == fc.distances
+                assert list(fd.distances) == list(fc.distances)
+                assert fd.candidates == fc.candidates
+                for v in fd.graph:
+                    assert fd.graph.adjacency(v) == fc.graph.adjacency(v)
+                if kernel == "reference":
+                    assert cd is cc is pd is pc is None
+                    continue
+                assert cc.vertices == cd.vertices
+                assert cc.index == cd.index
+                assert cc.dist == cd.dist
+                assert cc.adj == cd.adj
+                assert cc.candidate_mask == cd.candidate_mask
+                if lane == "bitset":
+                    assert pd is pc is None
+                else:
+                    assert pc.rows.tobytes() == pd.rows.tobytes()

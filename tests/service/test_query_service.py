@@ -1,15 +1,16 @@
 """Tests for the batched :class:`repro.service.QueryService`."""
 
 import threading
+from contextlib import nullcontext
 
 import pytest
 
 from repro.core import SearchParameters, SGQuery, SGSelect, STGQuery, STGSelect
 from repro.exceptions import QueryError
-from repro.graph import SocialGraph
+from repro.graph import SocialGraph, extract_feasible_graph, packed
 from repro.service import QueryService
 
-from ..conftest import make_random_calendars, make_random_graph
+from ..conftest import COMPILED_LANES, compiled_lane, make_random_calendars, make_random_graph
 
 
 @pytest.fixture
@@ -63,34 +64,34 @@ class TestSolve:
         assert reference.total_distance == compiled.total_distance
 
     def test_every_kernel_serves_identically(self, service_setup):
-        """The service's cached forms (compiled + packed) feed every kernel.
+        """The service's cached forms (compiled + packed) feed every lane.
 
-        Solving the same mixed batch through one service per kernel must
-        give identical results — this is the cache-entry plumbing test:
-        the numpy kernel runs off the packed matrix built at cache-miss
-        time, shared by both queries of the repeated initiator.
+        Solving the same mixed batch through one service per kernel, and
+        per lane of the compiled kernel, must give identical results — this
+        is the cache-entry plumbing test: the vectorized lane runs off the
+        packed matrix built at cache-miss time, shared by both queries of
+        the repeated initiator.
         """
-        from repro.core import VALID_KERNELS
-
         graph, calendars = service_setup
         queries = [
             SGQuery(initiator=0, group_size=4, radius=2, acquaintance=1),
             STGQuery(initiator=0, group_size=3, radius=2, acquaintance=1, activity_length=2),
         ]
-        per_kernel = {}
-        for kernel in VALID_KERNELS:
-            with QueryService(
+        runs = [("reference", None)] + [("compiled", lane) for lane in COMPILED_LANES]
+        per_run = {}
+        for kernel, lane in runs:
+            with compiled_lane(lane) if lane else nullcontext(), QueryService(
                 graph, calendars, parameters=SearchParameters(kernel=kernel)
             ) as service:
                 results = service.solve_many(queries)
                 info = service.cache_info()
             assert info.misses == 1 and info.hits == 1  # one shared ego network
-            per_kernel[kernel] = [
+            per_run[kernel, lane] = [
                 (r.members, r.total_distance, getattr(r, "period", None)) for r in results
             ]
-        baseline = per_kernel["compiled"]
-        for kernel, keys in per_kernel.items():
-            assert keys == baseline, f"kernel {kernel} diverged through the service"
+        baseline = per_run["reference", None]
+        for run, keys in per_run.items():
+            assert keys == baseline, f"{run} diverged through the service"
 
 
 class TestCache:
@@ -113,6 +114,26 @@ class TestCache:
         info = service.cache_info()
         assert info.misses == 2
         assert info.size == 2
+
+    def test_packed_matrix_cached_only_on_vectorized_lane(self, service_setup, monkeypatch):
+        """An ego below the pool-size threshold caches no packed matrix; an
+        ego at the threshold caches it next to the compiled form."""
+        if not packed.numpy_kernel_available():
+            pytest.skip("the vectorized lane needs numpy >= 2.0")
+        graph, calendars = service_setup
+        service = QueryService(graph, calendars, backend="serial")
+        small = SGQuery(initiator=0, group_size=3, radius=1, acquaintance=1)
+        large = SGQuery(initiator=0, group_size=3, radius=2, acquaintance=1)
+        sizes = {q.radius: len(extract_feasible_graph(graph, 0, q.radius).candidates)
+                 for q in (small, large)}
+        assert sizes[1] < sizes[2]
+        monkeypatch.setattr(packed, "NUMPY_MIN_CANDIDATES", sizes[2])
+        service.solve_many([small, large])
+        _, compiled_small, packed_small = service._cache[0, 1]
+        _, compiled_large, packed_large = service._cache[0, 2]
+        assert compiled_small is not None and packed_small is None
+        assert packed_large is not None
+        assert packed_large.rows.tobytes() == packed.pack_adjacency(compiled_large).rows.tobytes()
 
     def test_lru_eviction(self, service_setup):
         graph, calendars = service_setup
