@@ -47,17 +47,19 @@ Run directly (it is a script, not a pytest-benchmark module)::
     PYTHONPATH=src python benchmarks/bench_service.py \
         --backend process --workers 4 --no-kernel-sweep --quick
 
-The kernel legs time the two lanes of the compiled kernel by overriding
-its pool-size threshold (``repro.graph.packed.NUMPY_MIN_CANDIDATES``):
-the ``compiled`` leg pins every pool to the bitset lane, the ``numpy`` leg
-keeps the default lane choice (vectorized from the threshold up, when
-numpy >= 2.0 is installed).  The script exits non-zero when the p >= 6
-aggregate reference/compiled speedup falls below the 3x acceptance floor,
-or when the ``numpy`` leg's solve throughput on the solver-bound STGQ batch
-falls below ``NUMPY_KERNEL_FLOOR`` times the ``compiled`` leg's, or when it
-trails it on the cache-hot radius-1 SGQ batch (``RADIUS1_KERNEL_FLOOR``) —
-kernel sweep enabled and numpy installed — so CI catches kernel
-regressions loudly.  ``--kernels-json PATH`` writes that lane comparison on
+The kernel legs time two lanes of the compiled kernel by overriding its
+pool-size threshold (``repro.graph.packed.NUMPY_MIN_CANDIDATES``): the
+``compiled`` leg packs no pool, so every node is measured by the scalar
+cascade (the bitset lane); the ``numpy`` leg keeps the default packing
+choice (pools from the threshold up are packed and their wide nodes
+measured with whole-pool arrays, when numpy >= 2.0 is installed).  The
+script exits non-zero when the p >= 6 aggregate reference/compiled speedup
+falls below the 3x acceptance floor, or when the ``numpy`` leg's solve
+throughput on the solver-bound STGQ batch falls below
+``NUMPY_KERNEL_FLOOR`` times the ``compiled`` leg's, or when it trails it
+on the cache-hot radius-1 SGQ batch (``RADIUS1_KERNEL_FLOOR``) — kernel
+sweep enabled and numpy installed — so CI catches kernel regressions
+loudly.  ``--kernels-json PATH`` writes that lane comparison on
 its own (the ``BENCH_kernels.json`` artifact, radius-1 leg nested under
 ``"radius1"``).
 """
@@ -117,8 +119,8 @@ def _leg(name: str) -> Iterator[SearchParameters]:
     """Search parameters for one timed leg, with its lane pinned meanwhile.
 
     ``reference`` is the reference kernel; ``compiled`` is the compiled
-    kernel pinned to its bitset lane (threshold out of reach); ``numpy`` is
-    the compiled kernel with its default lane choice.
+    kernel with no pool packed (threshold out of reach: the bitset lane);
+    ``numpy`` is the compiled kernel with its default packing choice.
     """
     saved = packed.NUMPY_MIN_CANDIDATES
     if name == "compiled":

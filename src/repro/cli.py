@@ -1362,7 +1362,7 @@ def _command_place(args: argparse.Namespace) -> int:
     print(f"trace:      {total} queries over {report['initiators']} initiators ({args.trace})")
     print(
         f"hot egos:   {len(placement.replicas)} replicated "
-        f"x{args.replicas}, {len(placement.assignments)} assigned"
+        f"x{min(args.replicas, placement.n_shards)}, {len(placement.assignments)} assigned"
     )
     print("load shares (trace replay):")
     peak = max(routed) if routed and max(routed) else 1

@@ -204,10 +204,10 @@ def expansibility_member_terms(
 
     ``base_counts`` holds ``|VA₀ ∩ N_i|`` for a *base* pool ``VA₀``;
     ``pending_mask`` lists the ids removed from ``VA₀`` since (the
-    vectorized lanes batch removals this way instead of touching the
+    compiled expansions batch removals this way instead of touching the
     array), so the current count for a member ``v`` is ``base_counts[v] -
-    |pending ∩ N_v|``.  The terms align with ``member_ids``; the kernels keep them
-    current across further removals with plain int updates
+    |pending ∩ N_v|``.  The terms align with ``member_ids``; the expansions
+    keep them current across further removals with plain int updates
     (``terms[j] -= adj(c, member_ids[j])``).
     """
     terms = []

@@ -58,14 +58,15 @@ class SearchParameters:
         maps the feasible graph to dense integer ids and evaluates the
         measures with bitmask AND/popcount and incrementally maintained
         counters; ``"reference"`` keeps the original pure-Python set-based
-        loop as the executable specification.  The compiled kernel picks
-        its lane per candidate pool (:func:`repro.graph.packed.use_vectorized`):
-        pools of at least ``NUMPY_MIN_CANDIDATES`` run whole-pool
-        vectorized reductions over a packed ``uint64`` matrix when numpy
-        >= 2.0 is installed (the ``[speed]`` extra), every other pool runs
-        the int-bitmask loop.  Both kernels, and both lanes, explore the
-        identical search tree and return identical results and statistics
-        (asserted by the equivalence test-suite).
+        loop as the executable specification.  The compiled kernel packs
+        a candidate pool (:func:`repro.graph.packed.use_vectorized`) when it
+        holds at least ``NUMPY_MIN_CANDIDATES`` candidates and numpy >= 2.0
+        is installed (the ``[speed]`` extra), so its wide nodes run
+        whole-pool vectorized reductions over a packed ``uint64`` matrix;
+        every other node runs the int-bitmask scalar measures.  Both
+        kernels explore the identical search tree either way and return
+        identical results and statistics (asserted by the equivalence
+        test-suite).
     """
 
     theta: int = 2

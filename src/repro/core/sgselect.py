@@ -27,11 +27,12 @@ Two interchangeable kernels drive the inner loop (selected via
   bitmasks, the measures become AND/popcount expressions, and the
   per-member stranger counters behind ``U``/``A`` are maintained
   *incrementally* across include/backtrack instead of being recomputed
-  from scratch per candidate.  Large pools take the vectorized lane
-  (:meth:`SGSelect._expand_numpy`, whole-pool reductions over the packed
-  matrix of :mod:`repro.graph.packed`) instead of the bitset lane
-  (:meth:`SGSelect._expand_bitset`); :func:`~repro.graph.packed.use_vectorized`
-  decides.
+  from scratch per candidate.  One expansion,
+  :meth:`SGSelect._expand_compiled`, measures each node either scalar-wise
+  (the cascade) or with whole-pool reductions over the packed matrix of
+  :mod:`repro.graph.packed`; the matrix exists only for pools
+  :func:`~repro.graph.packed.use_vectorized` accepts, so smaller pools take
+  the scalar cascade at every node.
 * ``"reference"`` — the original pure-Python set-based loop, kept as the
   executable specification.  Both kernels visit the identical search tree
   and produce identical results and statistics (asserted by the
@@ -51,6 +52,7 @@ from ..exceptions import InfeasibleQueryError
 from .context import SearchContext, record_into
 from ..graph.compiled import CompiledFeasibleGraph, compile_feasible_graph
 from ..graph.extraction import FeasibleGraph, extract_query_forms
+from ..graph import packed as packing
 from ..graph.packed import PackedAdjacency, pack_adjacency, use_vectorized
 from ..graph.social_graph import SocialGraph
 from ..types import Vertex
@@ -77,17 +79,6 @@ __all__ = ["SGSelect", "sg_select"]
 
 #: Signature of the incumbent-recording callback shared by both kernels.
 RecordFn = Callable[[Set[Vertex], float], None]
-
-#: Cascade batching: a node whose remaining pool has at most this many
-#: candidates is evaluated with the exact scalar bitset measures instead of
-#: materialising whole-pool arrays.  Forced chains — the deep tails of a
-#: search where pruning leaves a handful of survivors per node — then never
-#: pay per-node numpy dispatch, while wide nodes take the vectorized path
-#: from their first candidate.  Decisions are provably identical in either
-#: lane (same integer measures, same precomputed right-hand sides), so the
-#: search tree and the stats don't depend on the threshold.
-LAZY_MEASURE_THRESHOLD = 4
-
 
 class SGSelect:
     """Reusable SGSelect solver bound to one social graph.
@@ -244,39 +235,7 @@ class SGSelect:
                 best["members"] = set(members)
                 stats.solutions_found += 1
 
-        kernel = self.parameters.kernel
-        if kernel != "reference":
-            compiled = compiled_graph or compile_feasible_graph(feasible_graph, candidates)
-            strangers = [0] * len(compiled)
-            if use_vectorized(compiled.candidate_count):
-                packed = packed_graph or pack_adjacency(compiled)
-                self._expand_numpy(
-                    compiled=compiled,
-                    packed=packed,
-                    query=query,
-                    members_mask=1,
-                    member_ids=[0],
-                    strangers=strangers,
-                    remaining_mask=compiled.candidate_mask,
-                    current_distance=0.0,
-                    record=record,
-                    best=best,
-                    stats=stats,
-                )
-            else:
-                self._expand_bitset(
-                    compiled=compiled,
-                    query=query,
-                    members_mask=1,
-                    member_ids=[0],
-                    strangers=strangers,
-                    remaining_mask=compiled.candidate_mask,
-                    current_distance=0.0,
-                    record=record,
-                    best=best,
-                    stats=stats,
-                )
-        else:
+        if self.parameters.kernel == "reference":
             self._expand(
                 graph=feasible_graph.graph,
                 distances=feasible_graph.distances,
@@ -289,149 +248,36 @@ class SGSelect:
                 best=best,
                 stats=stats,
             )
+        else:
+            compiled = compiled_graph or compile_feasible_graph(feasible_graph, candidates)
+            packed = None
+            if use_vectorized(compiled.candidate_count):
+                packed = packed_graph or pack_adjacency(compiled)
+            self._expand_compiled(
+                compiled=compiled,
+                packed=packed,
+                query=query,
+                members_mask=1,
+                member_ids=[0],
+                strangers=[0] * len(compiled),
+                remaining_mask=compiled.candidate_mask,
+                current_distance=0.0,
+                record=record,
+                best=best,
+                stats=stats,
+            )
 
         if best["members"] is None:
             return None
         return best["members"], float(best["distance"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
-    # compiled kernel, bitset lane
+    # compiled kernel
     # ------------------------------------------------------------------
-    def _expand_bitset(
+    def _expand_compiled(
         self,
         compiled: CompiledFeasibleGraph,
-        query: SGQuery,
-        members_mask: int,
-        member_ids: List[int],
-        strangers: List[int],
-        remaining_mask: int,
-        current_distance: float,
-        record: RecordFn,
-        best: Dict[str, object],
-        stats: SearchStats,
-    ) -> None:
-        """Explore one node of the set-enumeration tree (bitset state).
-
-        ``strangers[v]`` holds ``|VS - {v} - N_v|`` for every id in
-        ``member_ids`` and is maintained incrementally around the include
-        branch instead of being recomputed per candidate.
-        """
-        params = self.parameters
-        p = query.group_size
-        k = query.acquaintance
-        adj = compiled.adj
-        dist = compiled.dist
-        stats.nodes_expanded += 1
-
-        theta = params.theta if params.use_access_ordering else 0
-        deferred_mask = 0
-        members_count = len(member_ids)
-
-        while True:
-            if members_count == p:
-                record(compiled.members_of(members_mask), current_distance)
-                return
-            if members_count + remaining_mask.bit_count() < p:
-                return
-
-            # --- node-level pruning -----------------------------------
-            if params.use_distance_pruning and distance_pruning_bitset(
-                incumbent_distance=best["distance"],  # type: ignore[arg-type]
-                current_distance=current_distance,
-                members_count=members_count,
-                group_size=p,
-                remaining_mask=remaining_mask,
-                dist=dist,
-            ):
-                stats.distance_prunes += 1
-                return
-            if params.use_acquaintance_pruning and acquaintance_pruning_bitset(
-                adj=adj,
-                remaining_mask=remaining_mask,
-                members_count=members_count,
-                group_size=p,
-                acquaintance=k,
-            ):
-                stats.acquaintance_prunes += 1
-                return
-
-            # --- candidate selection (access ordering) ----------------
-            selected = -1
-            while selected < 0:
-                open_mask = remaining_mask & ~deferred_mask
-                if not open_mask:
-                    if theta > 0:
-                        theta -= 1
-                        deferred_mask = 0
-                        continue
-                    # θ exhausted and every remaining candidate deferred or
-                    # removed: nothing left to branch on at this node.
-                    return
-                # Ids follow the access order, so the lowest set bit is the
-                # unvisited candidate with the smallest social distance.
-                candidate = (open_mask & -open_mask).bit_length() - 1
-                stats.candidates_considered += 1
-
-                new_size = members_count + 1
-                cand_bit = 1 << candidate
-                trial_remaining = remaining_mask & ~cand_bit
-                unfam, expans = candidate_measures_bitset(
-                    adj, member_ids, strangers, members_mask, trial_remaining, candidate, k
-                )
-                if not exterior_expansibility_condition(expans, new_size, p):
-                    # Lemma 1: this candidate can never complete the group.
-                    remaining_mask &= ~cand_bit
-                    deferred_mask &= ~cand_bit
-                    stats.expansibility_removals += 1
-                    continue
-                if not interior_unfamiliarity_condition(unfam, new_size, p, k, theta):
-                    if theta == 0:
-                        # The expanded set already violates the acquaintance
-                        # constraint; adding more members can only make it worse.
-                        remaining_mask &= ~cand_bit
-                        deferred_mask &= ~cand_bit
-                        stats.unfamiliarity_removals += 1
-                    else:
-                        deferred_mask |= cand_bit
-                    continue
-                selected = candidate
-
-            # --- branch 1: include ``selected`` -----------------------
-            sel_bit = 1 << selected
-            sel_adj = adj[selected]
-            strangers[selected] = (members_mask & ~sel_adj).bit_count()
-            for v in member_ids:
-                if not sel_adj >> v & 1:
-                    strangers[v] += 1
-            member_ids.append(selected)
-            self._expand_bitset(
-                compiled=compiled,
-                query=query,
-                members_mask=members_mask | sel_bit,
-                member_ids=member_ids,
-                strangers=strangers,
-                remaining_mask=remaining_mask & ~sel_bit,
-                current_distance=current_distance + dist[selected],
-                record=record,
-                best=best,
-                stats=stats,
-            )
-            member_ids.pop()
-            for v in member_ids:
-                if not sel_adj >> v & 1:
-                    strangers[v] -= 1
-
-            # --- branch 2: exclude ``selected`` and continue ----------
-            remaining_mask &= ~sel_bit
-            deferred_mask &= ~sel_bit
-
-    # ------------------------------------------------------------------
-    # compiled kernel, vectorized lane
-    # ------------------------------------------------------------------
-    def _expand_numpy(
-        self,
-        compiled: CompiledFeasibleGraph,
-        packed: PackedAdjacency,
+        packed: Optional[PackedAdjacency],
         query: SGQuery,
         members_mask: int,
         member_ids: List[int],
@@ -444,43 +290,43 @@ class SGSelect:
         base_counts=None,
         pending_mask: int = 0,
     ) -> None:
-        """Explore one node of the set-enumeration tree (vectorized measures).
+        """Explore one node of the set-enumeration tree (compiled state).
 
-        Shares the bitset kernel's state (int masks, incrementally
-        maintained ``strangers`` counters, the ``record`` callback) and its
-        branching logic exactly — the difference is *how* the measures are
-        evaluated.  The vectorized work happens at pool granularity; the
-        per-candidate checks are plain scalar arithmetic against it:
+        ``strangers[v]`` holds ``|VS - {v} - N_v|`` for every id in
+        ``member_ids`` and is maintained incrementally around the include
+        branch instead of being recomputed per candidate.  Each considered
+        candidate's ``(U, A)`` comes from one of two sources, and then one
+        decision ladder (expansibility → unfamiliarity → removal) uses it:
 
-        * ``unfam`` / ``cand_strangers`` — per-id ``U(VS ∪ {u})`` and
-          ``|VS - N_u|``, one vectorized evaluation per node (they depend
-          only on ``VS``, fixed for the node's lifetime), materialised as
-          Python lists so each considered candidate costs two list lookups
-          instead of the bitset lane's per-candidate member loop;
-        * ``base_counts`` + ``pending_mask`` — per-id ``|VA ∩ N_i|`` in
-          copy-on-write form: ``base_counts`` holds the counts for a base
-          pool and is *shared* down the tree (children receive the same
-          array), while ``pending_mask`` accumulates the ids removed since
-          the base was taken.  A removal is then one int OR; a candidate's
-          current count is ``base[u] - popcount(pending & N_u)`` (one int
-          AND/popcount); only Lemma 3's rare inner computation rebases the
-          array (a fresh one — ancestors never see the flush);
-        * ``member_terms`` / ``member_min`` — the member side of
-          ``A(VS ∪ {u})`` collapses to one small int list (see
-          :func:`expansibility_member_terms`), updated with plain int
-          adjacency bits on each removal;
-        * the conditions' right-hand sides only depend on node-fixed values
-          and θ, so they are precomputed and refreshed on relaxation
-          (identical expressions to the ``*_condition`` helpers, hence
-          identical float decisions);
-        * high-frequency counters accumulate in locals and are folded into
-          ``stats`` when the node finishes — the totals a caller can
-          observe are identical;
-        * **cascade batching** — a node whose remaining pool holds at most
-          ``LAZY_MEASURE_THRESHOLD`` candidates is measured with the exact
-          scalar bitset arithmetic and never materialises an array, so the
-          forced-chain tail of a search (a handful of survivors per node)
-          never pays numpy dispatch at all.
+        * **cascade batching** (scalar) — while a node's remaining pool holds
+          at most ``LAZY_MEASURE_THRESHOLD`` candidates, or always when
+          ``packed`` is ``None``, :func:`candidate_measures_bitset` scores
+          the candidate with exact AND/popcount arithmetic, so the
+          forced-chain tail of a search never pays numpy dispatch;
+        * **whole-pool arrays** — otherwise the node materialises, once:
+
+          - ``unfam`` / ``cand_strangers``: per-id ``U(VS ∪ {u})`` and
+            ``|VS - N_u|`` (they depend only on ``VS``, fixed for the
+            node's lifetime), as Python lists so each candidate costs two
+            list lookups;
+          - ``base_counts`` + ``pending_mask``: per-id ``|VA ∩ N_i|`` in
+            copy-on-write form.  ``base_counts`` holds the counts for a
+            base pool and is *shared* down the tree, while
+            ``pending_mask`` accumulates the ids removed since the base was
+            taken; a candidate's current count is
+            ``base[u] - popcount(pending & N_u)``, and only Lemma 3 rebases
+            the array (into a fresh one — ancestors never see the flush);
+          - ``member_terms`` / ``member_min``: the member side of
+            ``A(VS ∪ {u})`` as one small int list (see
+            :func:`expansibility_member_terms`), updated with plain int
+            adjacency bits on each removal.
+
+        Both sources yield the same integers (the adjacency bit in the
+        member terms cancels either way), and the conditions' right-hand
+        sides are precomputed with the ``*_condition`` helpers' expressions,
+        so the tree and the stats don't depend on the source.  High-frequency
+        counters accumulate in locals and are folded into ``stats`` when the
+        node finishes.
         """
         params = self.parameters
         p = query.group_size
@@ -488,6 +334,8 @@ class SGSelect:
         adj = compiled.adj
         dist = compiled.dist
         stats.nodes_expanded += 1
+        # Without a packed matrix every node takes the scalar cascade.
+        lazy_threshold = packing.LAZY_MEASURE_THRESHOLD if packed is not None else len(compiled)
 
         theta = params.theta if params.use_access_ordering else 0
         deferred_mask = 0
@@ -526,28 +374,38 @@ class SGSelect:
                     stats.distance_prunes += 1
                     return
                 if params.use_acquaintance_pruning:
-                    # Same early-outs as the helper, checked first so the
-                    # (frequent) can't-fire case costs no array work.
+                    # Same early-outs as the helpers, checked first so the
+                    # (frequent) can't-fire case costs no work.
                     needed = p - members_count
                     if needed * (needed - 1 - k) > 0 and remaining_count >= needed:
-                        if base_counts is None:
-                            base_counts = packed.intersect_counts(packed.row(remaining_mask))
-                            pending_mask = 0
-                        elif pending_mask:
-                            # Rebase into a fresh array: the stale base may be
-                            # shared with ancestor nodes.
-                            base_counts = base_counts - packed.intersect_counts(
-                                packed.row(pending_mask)
+                        if packed is None:
+                            pruned = acquaintance_pruning_bitset(
+                                adj=adj,
+                                remaining_mask=remaining_mask,
+                                members_count=members_count,
+                                group_size=p,
+                                acquaintance=k,
                             )
-                            pending_mask = 0
-                        if acquaintance_pruning_packed(
-                            remaining_counts=base_counts,
-                            remaining_indicator=packed.indicator(remaining_mask),
-                            remaining_count=remaining_count,
-                            members_count=members_count,
-                            group_size=p,
-                            acquaintance=k,
-                        ):
+                        else:
+                            if base_counts is None:
+                                base_counts = packed.intersect_counts(packed.row(remaining_mask))
+                                pending_mask = 0
+                            elif pending_mask:
+                                # Rebase into a fresh array: the stale base
+                                # may be shared with ancestor nodes.
+                                base_counts = base_counts - packed.intersect_counts(
+                                    packed.row(pending_mask)
+                                )
+                                pending_mask = 0
+                            pruned = acquaintance_pruning_packed(
+                                remaining_counts=base_counts,
+                                remaining_indicator=packed.indicator(remaining_mask),
+                                remaining_count=remaining_count,
+                                members_count=members_count,
+                                group_size=p,
+                                acquaintance=k,
+                            )
+                        if pruned:
                             stats.acquaintance_prunes += 1
                             return
 
@@ -570,14 +428,7 @@ class SGSelect:
                     candidate = cand_bit.bit_length() - 1
                     considered += 1
 
-                    if unfam is None and remaining_mask.bit_count() <= LAZY_MEASURE_THRESHOLD:
-                        # Cascade-batching scalar lane: a nearly-empty pool
-                        # (the forced-chain tail of the search) is measured
-                        # with the exact bitset arithmetic, so those nodes
-                        # never pay the whole-pool materialisation.  The
-                        # ints are identical to the array path's (the
-                        # adjacency bit in the member terms cancels either
-                        # way), hence identical decisions, tree, counters.
+                    if unfam is None and remaining_mask.bit_count() <= lazy_threshold:
                         u_val, e_val = candidate_measures_bitset(
                             adj,
                             member_ids,
@@ -587,51 +438,31 @@ class SGSelect:
                             candidate,
                             k,
                         )
-                        if e_val < expans_need:
-                            expans_removed += 1
-                        elif u_val > unfam_rhs:
-                            if theta == 0:
-                                unfam_removed += 1
-                            else:
-                                deferred_mask |= cand_bit
-                                continue
-                        else:
-                            selected = candidate
-                            continue
-                        # Removal without arrays: ``member_terms`` is still
-                        # None (it materialises together with ``unfam``), and
-                        # pending bits are harmless while ``base_counts`` is
-                        # None — every materialisation site resets them.
-                        remaining_mask &= ~cand_bit
-                        deferred_mask &= ~cand_bit
-                        pending_mask |= cand_bit
-                        continue
+                    else:
+                        if unfam is None:
+                            cs_arr, unfam_arr = unfamiliarity_measures_packed(
+                                packed, member_ids, strangers, members_mask
+                            )
+                            cand_strangers = cs_arr.tolist()
+                            unfam = unfam_arr.tolist()
+                            if base_counts is None:
+                                base_counts = packed.intersect_counts(packed.row(remaining_mask))
+                                pending_mask = 0
+                            member_terms = expansibility_member_terms(
+                                base_counts, member_ids, strangers, k, adj, pending_mask
+                            )
+                            member_min = min(member_terms)
+                        u_val = unfam[candidate]
+                        e_val = int(base_counts[candidate]) + k - cand_strangers[candidate]
+                        if pending_mask:
+                            e_val -= (pending_mask & adj[candidate]).bit_count()
+                        if member_min < e_val:
+                            e_val = member_min
 
-                    if unfam is None:
-                        cs_arr, unfam_arr = unfamiliarity_measures_packed(
-                            packed, member_ids, strangers, members_mask
-                        )
-                        cand_strangers = cs_arr.tolist()
-                        unfam = unfam_arr.tolist()
-                    if base_counts is None:
-                        base_counts = packed.intersect_counts(packed.row(remaining_mask))
-                        pending_mask = 0
-                    if member_terms is None:
-                        member_terms = expansibility_member_terms(
-                            base_counts, member_ids, strangers, k, adj, pending_mask
-                        )
-                        member_min = min(member_terms)
-
-                    cand_adj = adj[candidate]
-                    expans = int(base_counts[candidate]) + k - cand_strangers[candidate]
-                    if pending_mask:
-                        expans -= (pending_mask & cand_adj).bit_count()
-                    if member_min < expans:
-                        expans = member_min
-                    if expans < expans_need:
+                    if e_val < expans_need:
                         # Lemma 1: this candidate can never complete the group.
                         expans_removed += 1
-                    elif unfam[candidate] > unfam_rhs:
+                    elif u_val > unfam_rhs:
                         if theta == 0:
                             # The expanded set already violates the acquaintance
                             # constraint; adding more members can only worsen it.
@@ -644,13 +475,15 @@ class SGSelect:
                         continue
                     # Drop ``candidate`` from the pool: one bit into the
                     # pending batch, plus the int updates that keep the
-                    # member terms exact.
+                    # member terms exact once they exist.
                     remaining_mask &= ~cand_bit
                     deferred_mask &= ~cand_bit
                     pending_mask |= cand_bit
-                    for j, v in enumerate(member_ids):
-                        member_terms[j] -= cand_adj >> v & 1
-                    member_min = min(member_terms)
+                    if member_terms is not None:
+                        cand_adj = adj[candidate]
+                        for j, v in enumerate(member_ids):
+                            member_terms[j] -= cand_adj >> v & 1
+                        member_min = min(member_terms)
 
                 # --- branch 1: include ``selected`` -----------------------
                 sel_bit = 1 << selected
@@ -660,7 +493,7 @@ class SGSelect:
                     if not sel_adj >> v & 1:
                         strangers[v] += 1
                 member_ids.append(selected)
-                self._expand_numpy(
+                self._expand_compiled(
                     compiled=compiled,
                     packed=packed,
                     query=query,
@@ -684,9 +517,6 @@ class SGSelect:
                         strangers[v] -= 1
 
                 # --- branch 2: exclude ``selected`` and continue ----------
-                # ``member_terms`` may still be None when ``selected`` came
-                # from the scalar cascade lane; it materialises (reflecting
-                # every pending removal) the first time the array path runs.
                 remaining_mask &= ~sel_bit
                 deferred_mask &= ~sel_bit
                 pending_mask |= sel_bit

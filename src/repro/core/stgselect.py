@@ -17,13 +17,14 @@ STGSelect extends SGSelect along the temporal dimension:
   candidates are collectively too busy around the pivot.
 
 Like SGSelect, two interchangeable kernels drive the per-pivot inner loop
-(``SearchParameters.kernel``): the default ``"compiled"`` kernel runs on the
-dense-id bitmask form of the feasible graph (incremental stranger counters,
-AND/popcount measures, per-slot busy masks for Lemma 5) — on the vectorized
-lane for large pools, as decided by
-:func:`~repro.graph.packed.use_vectorized` — while ``"reference"`` keeps the
-original set-based loop as the executable specification.  Both visit the
-identical search tree.
+(``SearchParameters.kernel``): the default ``"compiled"`` kernel runs one
+expansion on the dense-id bitmask form of the feasible graph (incremental
+stranger counters, AND/popcount measures, per-slot busy masks for Lemma 5),
+measuring wide nodes with whole-pool arrays when
+:func:`~repro.graph.packed.use_vectorized` packed the pool and every other
+node with the scalar cascade, while ``"reference"`` keeps the original
+set-based loop as the executable specification.  Both visit the identical
+search tree.
 
 The returned :class:`~repro.core.result.STGroupResult` carries the selected
 activity period, the pivot it was anchored at, and the full shared run.
@@ -39,6 +40,7 @@ from ..exceptions import InfeasibleQueryError, ScheduleError
 from .context import SearchContext, record_into
 from ..graph.compiled import CompiledFeasibleGraph, compile_feasible_graph
 from ..graph.extraction import FeasibleGraph, extract_query_forms
+from ..graph import packed as packing
 from ..graph.packed import PackedAdjacency, busy_slot_masks, pack_adjacency, use_vectorized
 from ..graph.social_graph import SocialGraph
 from ..temporal.calendars import CalendarStore
@@ -68,7 +70,6 @@ from .pruning import (
 )
 from .query import STGQuery, SearchParameters
 from .result import STGroupResult, SearchStats
-from .sgselect import LAZY_MEASURE_THRESHOLD
 
 __all__ = ["STGSelect", "stg_select"]
 
@@ -135,14 +136,11 @@ class STGSelect:
             feasible_graph, compiled_graph, packed_graph = extract_query_forms(
                 self.graph, query.initiator, query.radius, self.parameters.kernel
             )
-        use_bitset = self.parameters.kernel != "reference"
         compiled: Optional[CompiledFeasibleGraph] = None
         packed: Optional[PackedAdjacency] = None
-        use_numpy = False
-        if use_bitset:
+        if self.parameters.kernel != "reference":
             compiled = compiled_graph or compile_feasible_graph(feasible_graph)
-            use_numpy = use_vectorized(compiled.candidate_count)
-            if use_numpy:
+            if use_vectorized(compiled.candidate_count):
                 packed = packed_graph or pack_adjacency(compiled)
 
         best: Dict[str, object] = {
@@ -174,14 +172,10 @@ class STGSelect:
             if not self._member_feasible(q_schedule, window):
                 continue
             stats.pivots_processed += 1
-            if use_numpy:
-                assert compiled is not None and packed is not None
-                self._search_pivot_numpy(compiled, packed, query, window, record, best, stats)
-            elif use_bitset:
-                assert compiled is not None
-                self._search_pivot_bitset(compiled, query, window, record, best, stats)
-            else:
+            if compiled is None:
                 self._search_pivot(feasible_graph, query, window, record, best, stats)
+            else:
+                self._search_pivot_compiled(compiled, packed, query, window, record, best, stats)
 
         stats.elapsed_seconds = time.perf_counter() - start
         record_into(context, stats)
@@ -236,235 +230,12 @@ class STGSelect:
         return SlotRange(start, start + m - 1)
 
     # ------------------------------------------------------------------
-    # per-pivot search (compiled kernel, bitset lane)
+    # per-pivot search (compiled kernel)
     # ------------------------------------------------------------------
-    def _search_pivot_bitset(
+    def _search_pivot_compiled(
         self,
         compiled: CompiledFeasibleGraph,
-        query: STGQuery,
-        window: PivotWindow,
-        record: RecordFn,
-        best: Dict[str, object],
-        stats: SearchStats,
-    ) -> None:
-        q = query.initiator
-        p = query.group_size
-
-        q_shared = self.calendars.get(q).restricted(window.window).run_containing(window.pivot)
-        if q_shared is None or len(q_shared) < query.activity_length:
-            return
-        if p == 1:
-            record((q,), 0.0, q_shared, window.pivot)
-            return
-
-        # Pivot-feasible candidate pool (Definition 4) as a bitmask, plus the
-        # per-candidate schedules the joint-run updates need.
-        schedules: List[Optional[Schedule]] = [None] * len(compiled)
-        feasible_mask = 0
-        for i in range(1, len(compiled)):
-            sched = self.calendars.get(compiled.vertices[i])
-            if self._member_feasible(sched, window):
-                feasible_mask |= 1 << i
-                schedules[i] = sched
-        if feasible_mask.bit_count() < p - 1:
-            return
-
-        # Per-slot busy masks over the pivot window turn Lemma 5's per-slot
-        # candidate scan into one AND/popcount.  Built by the same helper
-        # the vectorized lane uses, so the two lanes can never drift on the
-        # prune's input.  Skipped when availability pruning is ablated so
-        # the toggle isolates the strategy's full cost.
-        busy_masks: Dict[int, int] = {}
-        if self.parameters.use_availability_pruning:
-            busy_masks = dict(
-                zip(window.window, busy_slot_masks(schedules, feasible_mask, window))
-            )
-
-        strangers = [0] * len(compiled)
-        self._expand_bitset(
-            compiled=compiled,
-            schedules=schedules,
-            busy_masks=busy_masks,
-            query=query,
-            window=window,
-            members_mask=1,
-            member_ids=[0],
-            strangers=strangers,
-            shared=q_shared,
-            remaining_mask=feasible_mask,
-            current_distance=0.0,
-            record=record,
-            best=best,
-            stats=stats,
-        )
-
-    def _expand_bitset(
-        self,
-        compiled: CompiledFeasibleGraph,
-        schedules: List[Optional[Schedule]],
-        busy_masks: Dict[int, int],
-        query: STGQuery,
-        window: PivotWindow,
-        members_mask: int,
-        member_ids: List[int],
-        strangers: List[int],
-        shared: SlotRange,
-        remaining_mask: int,
-        current_distance: float,
-        record: RecordFn,
-        best: Dict[str, object],
-        stats: SearchStats,
-    ) -> None:
-        """Explore one node of the per-pivot set-enumeration tree (bitset state)."""
-        params = self.parameters
-        p = query.group_size
-        k = query.acquaintance
-        m = query.activity_length
-        adj = compiled.adj
-        dist = compiled.dist
-        stats.nodes_expanded += 1
-
-        theta = params.theta if params.use_access_ordering else 0
-        phi = params.phi if params.use_access_ordering else params.phi_threshold
-        deferred_mask = 0
-        members_count = len(member_ids)
-
-        while True:
-            if members_count == p:
-                record(compiled.members_of(members_mask), current_distance, shared, window.pivot)
-                return
-            if members_count + remaining_mask.bit_count() < p:
-                return
-
-            # --- node-level pruning -----------------------------------
-            if params.use_distance_pruning and distance_pruning_bitset(
-                incumbent_distance=best["distance"],  # type: ignore[arg-type]
-                current_distance=current_distance,
-                members_count=members_count,
-                group_size=p,
-                remaining_mask=remaining_mask,
-                dist=dist,
-            ):
-                stats.distance_prunes += 1
-                return
-            if params.use_acquaintance_pruning and acquaintance_pruning_bitset(
-                adj=adj,
-                remaining_mask=remaining_mask,
-                members_count=members_count,
-                group_size=p,
-                acquaintance=k,
-            ):
-                stats.acquaintance_prunes += 1
-                return
-            if params.use_availability_pruning and availability_pruning_bitset(
-                busy_masks=busy_masks,
-                remaining_mask=remaining_mask,
-                members_count=members_count,
-                group_size=p,
-                window=window,
-            ):
-                stats.availability_prunes += 1
-                return
-
-            # --- candidate selection (access ordering) ----------------
-            selected = -1
-            selected_shared: Optional[SlotRange] = None
-            while selected < 0:
-                open_mask = remaining_mask & ~deferred_mask
-                if not open_mask:
-                    if theta > 0:
-                        theta -= 1
-                        deferred_mask = 0
-                        continue
-                    if phi < params.phi_threshold:
-                        phi += 1
-                        deferred_mask = 0
-                        continue
-                    return
-                candidate = (open_mask & -open_mask).bit_length() - 1
-                stats.candidates_considered += 1
-
-                new_size = members_count + 1
-                cand_bit = 1 << candidate
-                trial_remaining = remaining_mask & ~cand_bit
-                unfam, expans = candidate_measures_bitset(
-                    adj, member_ids, strangers, members_mask, trial_remaining, candidate, k
-                )
-                if not exterior_expansibility_condition(expans, new_size, p):
-                    remaining_mask &= ~cand_bit
-                    deferred_mask &= ~cand_bit
-                    stats.expansibility_removals += 1
-                    continue
-                if not interior_unfamiliarity_condition(unfam, new_size, p, k, theta):
-                    if theta == 0:
-                        remaining_mask &= ~cand_bit
-                        deferred_mask &= ~cand_bit
-                        stats.unfamiliarity_removals += 1
-                    else:
-                        deferred_mask |= cand_bit
-                    continue
-
-                cand_shared = self._joint_run_schedule(
-                    shared, schedules[candidate], window  # type: ignore[arg-type]
-                )
-                ext = temporal_extensibility(cand_shared, m)
-                if not temporal_extensibility_condition(
-                    ext, new_size, p, m, phi, params.phi_threshold
-                ):
-                    if ext < 0:
-                        # Adding this candidate destroys temporal feasibility
-                        # for every extension of the current VS.
-                        remaining_mask &= ~cand_bit
-                        deferred_mask &= ~cand_bit
-                        stats.temporal_removals += 1
-                    else:
-                        deferred_mask |= cand_bit
-                    continue
-
-                selected = candidate
-                selected_shared = cand_shared
-
-            # --- branch 1: include ``selected`` -----------------------
-            assert selected_shared is not None
-            sel_bit = 1 << selected
-            sel_adj = adj[selected]
-            strangers[selected] = (members_mask & ~sel_adj).bit_count()
-            for v in member_ids:
-                if not sel_adj >> v & 1:
-                    strangers[v] += 1
-            member_ids.append(selected)
-            self._expand_bitset(
-                compiled=compiled,
-                schedules=schedules,
-                busy_masks=busy_masks,
-                query=query,
-                window=window,
-                members_mask=members_mask | sel_bit,
-                member_ids=member_ids,
-                strangers=strangers,
-                shared=selected_shared,
-                remaining_mask=remaining_mask & ~sel_bit,
-                current_distance=current_distance + dist[selected],
-                record=record,
-                best=best,
-                stats=stats,
-            )
-            member_ids.pop()
-            for v in member_ids:
-                if not sel_adj >> v & 1:
-                    strangers[v] -= 1
-
-            # --- branch 2: exclude ``selected`` and continue ----------
-            remaining_mask &= ~sel_bit
-            deferred_mask &= ~sel_bit
-
-    # ------------------------------------------------------------------
-    # per-pivot search (compiled kernel, vectorized lane)
-    # ------------------------------------------------------------------
-    def _search_pivot_numpy(
-        self,
-        compiled: CompiledFeasibleGraph,
-        packed: PackedAdjacency,
+        packed: Optional[PackedAdjacency],
         query: STGQuery,
         window: PivotWindow,
         record: RecordFn,
@@ -513,8 +284,7 @@ class STGSelect:
             busy_masks = dict(zip(window.window, masks))
             busy_max = max((mask.bit_count() for mask in masks), default=0)
 
-        strangers = [0] * len(compiled)
-        self._expand_numpy(
+        self._expand_compiled(
             compiled=compiled,
             packed=packed,
             schedules=schedules,
@@ -524,7 +294,7 @@ class STGSelect:
             window=window,
             members_mask=1,
             member_ids=[0],
-            strangers=strangers,
+            strangers=[0] * len(compiled),
             shared=q_shared,
             remaining_mask=feasible_mask,
             current_distance=0.0,
@@ -533,10 +303,10 @@ class STGSelect:
             stats=stats,
         )
 
-    def _expand_numpy(
+    def _expand_compiled(
         self,
         compiled: CompiledFeasibleGraph,
-        packed: PackedAdjacency,
+        packed: Optional[PackedAdjacency],
         schedules: List[Optional[Schedule]],
         busy_masks,
         busy_max: int,
@@ -554,20 +324,21 @@ class STGSelect:
         base_counts=None,
         pending_mask: int = 0,
     ) -> None:
-        """Explore one node of the per-pivot tree (vectorized measures).
+        """Explore one node of the per-pivot tree (compiled state).
 
-        Same state and branching as :meth:`_expand_bitset`; the social
-        measures follow :meth:`SGSelect._expand_numpy` exactly (per-node
-        unfam lists, copy-on-write ``base_counts`` + ``pending_mask``, int
-        ``member_terms``, precomputed condition right-hand sides, node-local
-        stat accumulation).  On top of that, the temporal machinery:
+        The social measures follow :meth:`SGSelect._expand_compiled`
+        exactly (scalar cascade or whole-pool arrays, copy-on-write
+        ``base_counts`` + ``pending_mask``, int ``member_terms``,
+        precomputed condition right-hand sides, node-local stat
+        accumulation), and the decision ladder gains a temporal rung.  On
+        top of that, the temporal machinery:
 
-        * Lemma 5's per-slot scan becomes one matrix ``bitwise_count``
-          reduction over the packed busy rows, gated by ``busy_max`` (no
-          slot can reach the threshold ⇒ the prune cannot fire ⇒ skip the
-          array work — the window boundaries alone never prune, as
-          ``t⁺ - t⁻`` is then the full window plus both virtual busy
-          slots, which always exceeds ``m``);
+        * Lemma 5's per-slot scan is an early-breaking AND/popcount over
+          the busy masks, gated by ``busy_max`` (no slot can reach the
+          threshold ⇒ the prune cannot fire ⇒ skip the scan — the window
+          boundaries alone never prune, as ``t⁺ - t⁻`` is then the full
+          window plus both virtual busy slots, which always exceeds
+          ``m``);
         * joint runs are pure functions of the node-fixed ``shared`` run,
           so reconsidering a deferred candidate after a θ/φ relaxation
           replays them from a per-node memo instead of re-walking the
@@ -580,6 +351,8 @@ class STGSelect:
         adj = compiled.adj
         dist = compiled.dist
         stats.nodes_expanded += 1
+        # Without a packed matrix every node takes the scalar cascade.
+        lazy_threshold = packing.LAZY_MEASURE_THRESHOLD if packed is not None else len(compiled)
 
         theta = params.theta if params.use_access_ordering else 0
         phi = params.phi if params.use_access_ordering else params.phi_threshold
@@ -627,27 +400,37 @@ class STGSelect:
                     return
                 needed = p - members_count
                 if params.use_acquaintance_pruning:
-                    # Same early-outs as the helper, checked first so the
-                    # (frequent) can't-fire case costs no array work.
+                    # Same early-outs as the helpers, checked first so the
+                    # (frequent) can't-fire case costs no work.
                     if needed * (needed - 1 - k) > 0 and remaining_count >= needed:
-                        if base_counts is None:
-                            base_counts = packed.intersect_counts(packed.row(remaining_mask))
-                            pending_mask = 0
-                        elif pending_mask:
-                            # Rebase into a fresh array: the stale base may be
-                            # shared with ancestor nodes.
-                            base_counts = base_counts - packed.intersect_counts(
-                                packed.row(pending_mask)
+                        if packed is None:
+                            pruned = acquaintance_pruning_bitset(
+                                adj=adj,
+                                remaining_mask=remaining_mask,
+                                members_count=members_count,
+                                group_size=p,
+                                acquaintance=k,
                             )
-                            pending_mask = 0
-                        if acquaintance_pruning_packed(
-                            remaining_counts=base_counts,
-                            remaining_indicator=packed.indicator(remaining_mask),
-                            remaining_count=remaining_count,
-                            members_count=members_count,
-                            group_size=p,
-                            acquaintance=k,
-                        ):
+                        else:
+                            if base_counts is None:
+                                base_counts = packed.intersect_counts(packed.row(remaining_mask))
+                                pending_mask = 0
+                            elif pending_mask:
+                                # Rebase into a fresh array: the stale base
+                                # may be shared with ancestor nodes.
+                                base_counts = base_counts - packed.intersect_counts(
+                                    packed.row(pending_mask)
+                                )
+                                pending_mask = 0
+                            pruned = acquaintance_pruning_packed(
+                                remaining_counts=base_counts,
+                                remaining_indicator=packed.indicator(remaining_mask),
+                                remaining_count=remaining_count,
+                                members_count=members_count,
+                                group_size=p,
+                                acquaintance=k,
+                            )
+                        if pruned:
                             stats.acquaintance_prunes += 1
                             return
                 if (
@@ -690,13 +473,7 @@ class STGSelect:
                     candidate = cand_bit.bit_length() - 1
                     considered += 1
 
-                    if unfam is None and remaining_mask.bit_count() <= LAZY_MEASURE_THRESHOLD:
-                        # Cascade-batching scalar lane (see
-                        # SGSelect._expand_numpy): exact bitset measures for
-                        # a nearly-empty pool, so the forced-chain tail of
-                        # the search skips the whole-pool materialisation.
-                        # The temporal checks are shared with the array lane
-                        # (``joint_memo`` is keyed by candidate either way).
+                    if unfam is None and remaining_mask.bit_count() <= lazy_threshold:
                         u_val, e_val = candidate_measures_bitset(
                             adj,
                             member_ids,
@@ -706,65 +483,30 @@ class STGSelect:
                             candidate,
                             k,
                         )
-                        if e_val < expans_need:
-                            expans_removed += 1
-                        elif u_val > unfam_rhs:
-                            if theta == 0:
-                                unfam_removed += 1
-                            else:
-                                deferred_mask |= cand_bit
-                                continue
-                        else:
-                            entry = joint_memo.get(candidate)
-                            if entry is None:
-                                cand_shared = schedules[candidate].free_run_around(  # type: ignore[union-attr]
-                                    window.pivot, shared
-                                )
-                                ext = temporal_extensibility(cand_shared, m)
-                                joint_memo[candidate] = (cand_shared, ext)
-                            else:
-                                cand_shared, ext = entry
-                            if ext >= temporal_rhs:
-                                selected = candidate
-                                selected_shared = cand_shared
-                                continue
-                            if ext >= 0:
-                                deferred_mask |= cand_bit
-                                continue
-                            temporal_removed += 1
-                        # Removal without arrays: ``member_terms`` is still
-                        # None (it materialises together with ``unfam``), and
-                        # pending bits are harmless while ``base_counts`` is
-                        # None — every materialisation site resets them.
-                        remaining_mask &= ~cand_bit
-                        deferred_mask &= ~cand_bit
-                        pending_mask |= cand_bit
-                        continue
+                    else:
+                        if unfam is None:
+                            cs_arr, unfam_arr = unfamiliarity_measures_packed(
+                                packed, member_ids, strangers, members_mask
+                            )
+                            cand_strangers = cs_arr.tolist()
+                            unfam = unfam_arr.tolist()
+                            if base_counts is None:
+                                base_counts = packed.intersect_counts(packed.row(remaining_mask))
+                                pending_mask = 0
+                            member_terms = expansibility_member_terms(
+                                base_counts, member_ids, strangers, k, adj, pending_mask
+                            )
+                            member_min = min(member_terms)
+                        u_val = unfam[candidate]
+                        e_val = int(base_counts[candidate]) + k - cand_strangers[candidate]
+                        if pending_mask:
+                            e_val -= (pending_mask & adj[candidate]).bit_count()
+                        if member_min < e_val:
+                            e_val = member_min
 
-                    if unfam is None:
-                        cs_arr, unfam_arr = unfamiliarity_measures_packed(
-                            packed, member_ids, strangers, members_mask
-                        )
-                        cand_strangers = cs_arr.tolist()
-                        unfam = unfam_arr.tolist()
-                    if base_counts is None:
-                        base_counts = packed.intersect_counts(packed.row(remaining_mask))
-                        pending_mask = 0
-                    if member_terms is None:
-                        member_terms = expansibility_member_terms(
-                            base_counts, member_ids, strangers, k, adj, pending_mask
-                        )
-                        member_min = min(member_terms)
-
-                    cand_adj = adj[candidate]
-                    expans = int(base_counts[candidate]) + k - cand_strangers[candidate]
-                    if pending_mask:
-                        expans -= (pending_mask & cand_adj).bit_count()
-                    if member_min < expans:
-                        expans = member_min
-                    if expans < expans_need:
+                    if e_val < expans_need:
                         expans_removed += 1
-                    elif unfam[candidate] > unfam_rhs:
+                    elif u_val > unfam_rhs:
                         if theta == 0:
                             unfam_removed += 1
                         else:
@@ -773,8 +515,6 @@ class STGSelect:
                     else:
                         entry = joint_memo.get(candidate)
                         if entry is None:
-                            # Same joint run as _joint_run_schedule, via the
-                            # allocation-free bit-trick query.
                             cand_shared = schedules[candidate].free_run_around(  # type: ignore[union-attr]
                                 window.pivot, shared
                             )
@@ -794,13 +534,15 @@ class STGSelect:
                         temporal_removed += 1
                     # Drop ``candidate`` from the pool: one bit into the
                     # pending batch, plus the int updates that keep the
-                    # member terms exact.
+                    # member terms exact once they exist.
                     remaining_mask &= ~cand_bit
                     deferred_mask &= ~cand_bit
                     pending_mask |= cand_bit
-                    for j, v in enumerate(member_ids):
-                        member_terms[j] -= cand_adj >> v & 1
-                    member_min = min(member_terms)
+                    if member_terms is not None:
+                        cand_adj = adj[candidate]
+                        for j, v in enumerate(member_ids):
+                            member_terms[j] -= cand_adj >> v & 1
+                        member_min = min(member_terms)
 
                 # --- branch 1: include ``selected`` -----------------------
                 assert selected_shared is not None
@@ -811,7 +553,7 @@ class STGSelect:
                     if not sel_adj >> v & 1:
                         strangers[v] += 1
                 member_ids.append(selected)
-                self._expand_numpy(
+                self._expand_compiled(
                     compiled=compiled,
                     packed=packed,
                     schedules=schedules,
@@ -840,9 +582,6 @@ class STGSelect:
                         strangers[v] -= 1
 
                 # --- branch 2: exclude ``selected`` and continue ----------
-                # ``member_terms`` may still be None when ``selected`` came
-                # from the scalar cascade lane; it materialises (reflecting
-                # every pending removal) the first time the array path runs.
                 remaining_mask &= ~sel_bit
                 deferred_mask &= ~sel_bit
                 pending_mask |= sel_bit
@@ -1052,13 +791,7 @@ class STGSelect:
     ) -> Optional[SlotRange]:
         """Shared run of consecutive free slots containing the pivot after
         intersecting the current run with ``candidate``'s availability."""
-        return self._joint_run_schedule(shared, self.calendars.get(candidate), window)
-
-    @staticmethod
-    def _joint_run_schedule(
-        shared: SlotRange, schedule: Schedule, window: PivotWindow
-    ) -> Optional[SlotRange]:
-        """Joint-run computation shared by both kernels."""
+        schedule = self.calendars.get(candidate)
         pivot = window.pivot
         if not schedule.is_available(pivot):
             return None

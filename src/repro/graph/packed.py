@@ -7,20 +7,20 @@ be evaluated for many candidates at once (Lemma 3's inner degrees, the
 per-candidate interior-unfamiliarity / exterior-expansibility scan, Lemma
 5's per-slot busy counts).  This module packs the same adjacency into a
 ``(n, ceil(n / 64))`` ``uint64`` matrix so those loops become whole-pool
-``np.bitwise_and`` + ``np.bitwise_count`` reductions — the substrate of the
-compiled kernel's vectorized lane in SGSelect/STGSelect.
+``np.bitwise_and`` + ``np.bitwise_count`` reductions — the array path of the
+compiled kernel's expansion in SGSelect/STGSelect.
 
 The int-bitmask representation stays the search state's source of truth
 (``VS`` / ``VA`` / deferred masks are still Python ints, shared with the
-bitset lane); :func:`mask_to_row` / :func:`row_to_mask` convert between a
+scalar measures); :func:`mask_to_row` / :func:`row_to_mask` convert between a
 mask and its packed row in O(words) C-level work, so the two views never
 drift.
 
-:func:`use_vectorized` is the one place the lane is chosen: extraction
+:func:`use_vectorized` is the one place packing is decided: extraction
 (pack or not), the service cache entry and both solvers all ask it.  numpy
 is an *optional* dependency (the ``[speed]`` extra): this module imports
-without it, and without numpy >= 2.0 (``np.bitwise_count``) every pool runs
-the bitset lane.
+without it, and without numpy >= 2.0 (``np.bitwise_count``) nothing is
+packed and the compiled kernel measures every node scalar-wise.
 
 Like :class:`~repro.graph.compiled.CompiledFeasibleGraph`, a
 :class:`PackedAdjacency` is immutable after construction, so one instance is
@@ -57,16 +57,28 @@ __all__ = [
 #: Bits per packed word.
 WORD_BITS = 64
 
-#: Below this many candidates the compiled kernel runs the bitset lane:
-#: array setup costs more than it saves on sub-millisecond egos (the
-#: cache-hot radius-1 regime).  Both lanes visit the identical tree with
-#: identical stats — pinned by the kernel-equivalence suite, which runs
-#: every instance with this threshold forced high and forced to 0.
+#: Below this many candidates the compiled kernel packs no matrix, so every
+#: node of the search takes the scalar cascade: array setup costs more than
+#: it saves on sub-millisecond egos (the cache-hot radius-1 regime).  Either
+#: way the search visits the identical tree with identical stats — pinned by
+#: the kernel-equivalence suite, which runs every instance with this
+#: threshold forced high and forced to 0.
 NUMPY_MIN_CANDIDATES = 48
+
+#: Cascade batching: on a packed pool, a node whose remaining pool has at
+#: most this many candidates is measured with the exact scalar bitset
+#: arithmetic instead of materialising whole-pool arrays.  Forced chains —
+#: the deep tails of a search where pruning leaves a handful of survivors
+#: per node — then never pay per-node numpy dispatch, while wide nodes take
+#: the array path from their first candidate.  Both paths yield the same
+#: integer measures, so the search tree and the stats don't depend on the
+#: threshold (the equivalence suite also runs it at -1: arrays everywhere).
+#: The solvers read it at node entry, so it can be overridden here.
+LAZY_MEASURE_THRESHOLD = 4
 
 
 def numpy_kernel_available() -> bool:
-    """``True`` when the vectorized lane can run on this interpreter.
+    """``True`` when the packed form (and so the array path) is available.
 
     Requires numpy >= 2.0 (``np.bitwise_count``); older numpys are treated
     as absent rather than half-supported.
@@ -75,8 +87,8 @@ def numpy_kernel_available() -> bool:
 
 
 def use_vectorized(candidate_count: int) -> bool:
-    """Whether the compiled kernel searches a pool of ``candidate_count``
-    candidates on the vectorized lane (and so needs the packed matrix)."""
+    """Whether the compiled kernel packs a pool of ``candidate_count``
+    candidates, so its wide nodes can be measured with whole-pool arrays."""
     return _HAVE_BITWISE_COUNT and candidate_count >= NUMPY_MIN_CANDIDATES
 
 
@@ -186,7 +198,7 @@ class PackedAdjacency:
         yields every candidate's acquaintance count inside ``VS``; with
         ``row`` = the remaining row it yields Lemma 3's inner degrees and
         the expansibility neighbour counts — each a whole-pool replacement
-        for one per-candidate Python loop of the bitset lane.
+        for one per-candidate Python loop of the scalar measures.
         """
         return np.bitwise_count(self.rows & row).sum(axis=1, dtype=np.int64)
 
@@ -231,7 +243,7 @@ class PackedAdjacency:
 
 
 def pack_adjacency(compiled: "CompiledFeasibleGraph") -> PackedAdjacency:
-    """Pack a compiled feasible graph's adjacency for the vectorized lane.
+    """Pack a compiled feasible graph's adjacency for the array path.
 
     The packed form is derived data: it carries no vertex identity of its
     own and is only valid together with the ``compiled`` graph it was built
@@ -249,7 +261,7 @@ def busy_slot_masks(
 
     ``busy[j]`` has bit ``i`` set when candidate id ``i`` (restricted to
     ``feasible_mask``) is unavailable in slot ``window.window.start + j`` —
-    the Lemma 5 input of both compiled-kernel lanes.
+    the compiled kernel's Lemma 5 input.
     """
     from .compiled import iter_bits
 

@@ -71,6 +71,11 @@ Q = TypeVar("Q")
 DEFAULT_VNODES = 64
 
 
+def _is_int(value: object) -> bool:
+    """``int`` but not ``bool``: JSON ``true`` must not pass as ``1``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _ring_point(seed: int, shard: int, vnode: int) -> int:
     """Deterministic 32-bit ring position of one virtual node."""
     return zlib.crc32(f"vnode:{seed}:{shard}:{vnode}".encode("utf-8"))
@@ -136,7 +141,7 @@ class PlacementMap:
     ) -> None:
         if n_shards < 1:
             raise QueryError(f"n_shards must be >= 1, got {n_shards}")
-        if not isinstance(version, int) or version < 1:
+        if not _is_int(version) or version < 1:
             raise QueryError(f"placement version must be an int >= 1, got {version!r}")
         if vnodes < 1:
             raise QueryError(f"vnodes must be >= 1, got {vnodes}")
@@ -146,7 +151,7 @@ class PlacementMap:
         self.seed = seed
         self.assignments: Dict[Vertex, int] = dict(assignments or {})
         for vertex, shard in self.assignments.items():
-            if not isinstance(shard, int) or not 0 <= shard < n_shards:
+            if not _is_int(shard) or not 0 <= shard < n_shards:
                 raise QueryError(
                     f"assignment for {vertex!r} names shard {shard!r}, "
                     f"valid range is [0, {n_shards})"
@@ -159,7 +164,7 @@ class PlacementMap:
                     f"replica set for {vertex!r} must be distinct shards, got {group!r}"
                 )
             for shard in group:
-                if not isinstance(shard, int) or not 0 <= shard < n_shards:
+                if not _is_int(shard) or not 0 <= shard < n_shards:
                     raise QueryError(
                         f"replica set for {vertex!r} names shard {shard!r}, "
                         f"valid range is [0, {n_shards})"
@@ -311,11 +316,11 @@ class PlacementMap:
             version = payload["version"]
         except KeyError as exc:
             raise QueryError(f"placement payload missing field {exc.args[0]!r}") from None
-        if not isinstance(n_shards, int):
+        if not _is_int(n_shards):
             raise QueryError(f"placement n_shards must be an int, got {n_shards!r}")
         vnodes = payload.get("vnodes", DEFAULT_VNODES)
         seed = payload.get("seed", 0)
-        if not isinstance(vnodes, int) or not isinstance(seed, int):
+        if not _is_int(vnodes) or not _is_int(seed):
             raise QueryError("placement vnodes/seed must be ints")
         raw_assignments = payload.get("assignments", [])
         raw_replicas = payload.get("replicas", [])

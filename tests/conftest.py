@@ -33,9 +33,18 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 #: no-numpy CI leg runs the suite without scipy and these must skip cleanly.
 requires_scipy = pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
 
-#: The compiled kernel's lanes: the bitset lane always, the vectorized lane
-#: when numpy >= 2.0 is installed.
-COMPILED_LANES = ("bitset",) + (("vectorized",) if packed.numpy_kernel_available() else ())
+#: The compiled kernel's lanes, forced per test:
+#:
+#: * ``"bitset"`` — no pool is packed, so every node takes the scalar
+#:   cascade (the only lane without numpy >= 2.0);
+#: * ``"vectorized"`` — every pool is packed; wide nodes measure with
+#:   whole-pool arrays, nodes of at most ``LAZY_MEASURE_THRESHOLD``
+#:   candidates with the scalar cascade;
+#: * ``"arrays"`` — every pool is packed and the cascade is off, so every
+#:   node measures with whole-pool arrays even on tiny instances.
+COMPILED_LANES = ("bitset",) + (
+    ("vectorized", "arrays") if packed.numpy_kernel_available() else ()
+)
 
 
 @contextmanager
@@ -43,38 +52,43 @@ def compiled_lane(lane: str) -> Iterator[None]:
     """Force every compiled-kernel pool onto one lane.
 
     Overrides the pool-size threshold behind
-    :func:`repro.graph.packed.use_vectorized`: ``"bitset"`` raises it out of
-    reach, ``"vectorized"`` drops it to 0 so even the tiny test instances
-    take the vectorized lane.
+    :func:`repro.graph.packed.use_vectorized` (``"bitset"`` raises it out
+    of reach, the packed lanes drop it to 0) and, for ``"arrays"``, the
+    cascade threshold ``repro.graph.packed.LAZY_MEASURE_THRESHOLD`` (-1:
+    no node is small enough for the scalar cascade).
     """
-    saved = packed.NUMPY_MIN_CANDIDATES
-    packed.NUMPY_MIN_CANDIDATES = {"bitset": sys.maxsize, "vectorized": 0}[lane]
+    saved = packed.NUMPY_MIN_CANDIDATES, packed.LAZY_MEASURE_THRESHOLD
+    packed.NUMPY_MIN_CANDIDATES = sys.maxsize if lane == "bitset" else 0
+    if lane == "arrays":
+        packed.LAZY_MEASURE_THRESHOLD = -1
     try:
         yield
     finally:
-        packed.NUMPY_MIN_CANDIDATES = saved
+        packed.NUMPY_MIN_CANDIDATES, packed.LAZY_MEASURE_THRESHOLD = saved
 
 
 @contextmanager
 def vectorized_spy() -> Iterator[Counter]:
-    """Count calls into SGSelect's and STGSelect's vectorized expansions."""
+    """Count SGSelect's and STGSelect's compiled expansions entered with a
+    packed matrix (``packed is not None``), per solver class."""
     calls: Counter = Counter()
-    originals = {cls: cls.__dict__["_expand_numpy"] for cls in (SGSelect, STGSelect)}
+    originals = {cls: cls.__dict__["_expand_compiled"] for cls in (SGSelect, STGSelect)}
 
     def spy(cls, original):
         def expand(self, *args, **kwargs):
-            calls[cls.__name__] += 1
+            if kwargs["packed"] is not None:
+                calls[cls.__name__] += 1
             return original(self, *args, **kwargs)
 
         return expand
 
     for cls, original in originals.items():
-        cls._expand_numpy = spy(cls, original)
+        cls._expand_compiled = spy(cls, original)
     try:
         yield calls
     finally:
         for cls, original in originals.items():
-            cls._expand_numpy = original
+            cls._expand_compiled = original
 
 
 @pytest.fixture

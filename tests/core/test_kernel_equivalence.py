@@ -1,19 +1,22 @@
-"""Equivalence of both kernels, and both compiled-kernel lanes, against
+"""Equivalence of both kernels, and every compiled-kernel lane, against
 the reference kernel.
 
-Every instance runs three times: on ``reference`` (the executable
-specification), and on ``compiled`` forced onto its bitset lane (int
-bitmasks) and onto its vectorized lane (packed uint64 reductions, when
-numpy >= 2.0 is installed) by overriding the pool-size threshold.  All
-three are required to visit the identical search tree, so the assertions
-here are strict: same feasibility, same members, same total distance (exact
-float equality — the distance sums accumulate in the same order), same
-temporal fields for STGQ, and the same search statistics.  A spy on the
-vectorized expansions checks that the forced lane really ran, so it cannot
-go silently dead.  Randomised instances come from hypothesis; the seeded
-fixtures cover the ablation toggles and the ``allowed_candidates``
-restriction.
+Every instance runs on ``reference`` (the executable specification) and on
+``compiled`` forced onto each lane of :data:`COMPILED_LANES`: no packed
+matrix (every node measured by the scalar cascade), packed pools with the
+cascade on its usual threshold, and packed pools with the cascade off
+(whole-pool arrays at every node) — the packed lanes when numpy >= 2.0 is
+installed.  All are required to visit the identical search tree, so the
+assertions here are strict: same feasibility, same members, same total
+distance (exact float equality — the distance sums accumulate in the same
+order), same temporal fields for STGQ, and the same search statistics.  A
+spy on the compiled expansions checks that a forced packed lane really
+searched with its matrix, so it cannot go silently dead.  Randomised
+instances come from hypothesis; the seeded fixtures cover the ablation
+toggles and the ``allowed_candidates`` restriction.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -47,19 +50,19 @@ def _strip(stats):
 def _solve_every_lane(solve):
     """``solve(kernel)`` on the reference kernel and on each compiled lane.
 
-    Also checks the lane override held: the bitset lane never enters a
-    vectorized expansion, and the vectorized lane enters one whenever the
+    Also checks the lane override held: the bitset lane never expands a
+    node with a packed matrix, and each packed lane does whenever the
     reference search expanded a node.
     """
     results = {"reference": solve("reference")}
     for lane in COMPILED_LANES:
         with compiled_lane(lane), vectorized_spy() as calls:
             results[lane] = solve("compiled")
-        vectorized_calls = sum(calls.values())
+        packed_calls = sum(calls.values())
         if lane == "bitset":
-            assert vectorized_calls == 0
+            assert packed_calls == 0
         elif results["reference"].stats.nodes_expanded:
-            assert vectorized_calls > 0, "the vectorized lane did not run"
+            assert packed_calls > 0, f"the {lane} lane did not run"
     return results
 
 
@@ -220,6 +223,29 @@ class TestSeededEquivalence:
         assert calls["SGSelect"] > 0
         assert calls["STGSelect"] > 0
 
+    @pytest.mark.skipif("arrays" not in COMPILED_LANES, reason="needs numpy >= 2.0")
+    def test_arrays_lane_measures_with_arrays(self, monkeypatch):
+        """With the cascade off, tiny instances take the array path too."""
+        from repro.core import sgselect, stgselect
+
+        calls = Counter()
+        for module in (sgselect, stgselect):
+
+            def counting(*args, _module=module, _original=module.unfamiliarity_measures_packed):
+                calls[_module.__name__] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, "unfamiliarity_measures_packed", counting)
+        graph = make_random_graph(1, n=11, edge_prob=0.4)
+        calendars = make_random_calendars(501, list(graph), horizon=12, availability=0.6)
+        with compiled_lane("arrays"):
+            SGSelect(graph).solve(SGQuery(initiator=0, group_size=5, radius=2, acquaintance=2))
+            STGSelect(graph, calendars).solve(
+                STGQuery(initiator=0, group_size=3, radius=2, acquaintance=0, activity_length=2)
+            )
+        assert calls["repro.core.sgselect"] > 0
+        assert calls["repro.core.stgselect"] > 0
+
     @pytest.mark.parametrize("seed", range(6))
     def test_allowed_candidates_restriction(self, seed):
         graph = make_random_graph(seed, n=12, edge_prob=0.45)
@@ -249,7 +275,7 @@ class TestSharedPrecompiledForms:
         for lane in COMPILED_LANES:
             with compiled_lane(lane):
                 feasible, compiled, packed = extract_query_forms(graph, 0, 2, "compiled")
-                assert (packed is not None) == (lane == "vectorized")
+                assert (packed is not None) == (lane != "bitset")
                 cold = solver.solve(query)
                 warm = solver.solve(
                     query, feasible_graph=feasible, compiled_graph=compiled, packed_graph=packed

@@ -167,6 +167,12 @@ class TestWireAndFile:
             {"n_shards": 2, "version": 1, "replicas": [["a", [0, 0]]]},
             {"n_shards": 2, "version": 1, "replicas": [["a", 0]]},
             {"n_shards": 2, "version": 1, "vnodes": "many"},
+            {"n_shards": True, "version": True, "assignments": [[5, False]]},
+            {"n_shards": 2, "version": True},
+            {"n_shards": 2, "version": 1, "vnodes": True},
+            {"n_shards": 2, "version": 1, "seed": False},
+            {"n_shards": 2, "version": 1, "assignments": [["a", True]]},
+            {"n_shards": 2, "version": 1, "replicas": [["a", [False, True]]]},
         ],
     )
     def test_from_wire_rejects_junk(self, payload):

@@ -488,6 +488,26 @@ class TestPlaceCommand:
         assert placement.version == 4
         assert placement.n_shards == 2
 
+    def test_place_prints_effective_replica_width(self, tmp_path, capsys):
+        from repro.service import load_placement
+
+        # Three replicas over two workers: build_placement caps each hot
+        # ego's replica set at the worker count, and the report says so.
+        trace_path = self._write_trace(tmp_path)
+        out_path = tmp_path / "placement.json"
+        code = main(
+            ["place", str(trace_path), "--workers", "2", "--replicas", "3",
+             "-o", str(out_path)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        hot_line = next(line for line in out.splitlines() if line.startswith("hot egos:"))
+        assert "x2," in hot_line
+        assert "x3" not in hot_line
+        placement = load_placement(out_path)
+        assert placement.replicas
+        assert all(sorted(group) == [0, 1] for group in placement.replicas.values())
+
     def test_place_json_report(self, tmp_path, capsys):
         import json
 
