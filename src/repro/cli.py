@@ -154,6 +154,41 @@ def _graceful_shutdown() -> Iterator[None]:
             signal.signal(signum, handler)
 
 
+def _add_backend_arguments(parser: argparse.ArgumentParser, default: str) -> None:
+    """``--backend/--workers/--connect/--timeout`` for the gateway commands
+    (serve, http), which differ only in the backend they default to."""
+    parser.add_argument(
+        "--backend",
+        choices=list(ALL_BACKEND_NAMES),
+        default=default,
+        help=(
+            "executor backend: 'serial' (in-process loop), 'thread' (shared-cache "
+            "pool; GIL-bound), 'process' (initiator-sharded worker processes, one "
+            "graph copy + ego cache each; scales across cores), 'remote' "
+            f"(initiator-sharded TCP workers; needs --connect) (default {default})"
+        ),
+    )
+    parser.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=None,
+        help="executor width: threads for --backend thread, worker processes "
+        "(= shards) for --backend process (default: auto)",
+    )
+    parser.add_argument(
+        "--connect",
+        default=None,
+        help="worker addresses for --backend remote, e.g. "
+        "'127.0.0.1:9001,127.0.0.1:9002' (shard count = address count)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=30.0,
+        help="per-request timeout in seconds for --backend remote (default 30)",
+    )
+
+
 def _add_placement_arguments(parser: argparse.ArgumentParser) -> None:
     """``--placement FILE`` / ``--replicas N`` for routing-capable commands."""
     parser.add_argument(
@@ -201,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     query = subparsers.add_parser("query", help="answer one SGQ/STGQ on a generated dataset")
+    query.set_defaults(handler=_command_query)
     query.add_argument("--people", type=int, default=194, help="population size (default 194)")
     query.add_argument("--days", type=int, default=1, help="schedule length in days (default 1)")
     query.add_argument("--seed", type=int, default=42, help="dataset seed (default 42)")
@@ -222,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--initiator", type=int, default=None, help="initiator id (default: auto)")
 
     figure = subparsers.add_parser("figure", help="re-run a panel of the paper's Figure 1")
+    figure.set_defaults(handler=_command_figure)
     figure.add_argument("panel", choices=list(FIGURE_IDS), help="which panel to run (1a..1h)")
     figure.add_argument(
         "--scale",
@@ -233,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
 
     ablation = subparsers.add_parser("ablation", help="strategy ablation study")
+    ablation.set_defaults(handler=_command_ablation)
     ablation.add_argument("--people", type=int, default=120)
     ablation.add_argument("--days", type=int, default=1)
     ablation.add_argument("--seed", type=int, default=42)
@@ -318,39 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
             "order) instead of generating a synthetic batch."
         ),
     )
+    serve.set_defaults(handler=_command_serve)
     add_dataset_arguments(serve)
     add_substrate_argument(serve)
     add_traffic_arguments(serve)
-    serve.add_argument(
-        "--backend",
-        choices=list(ALL_BACKEND_NAMES),
-        default="thread",
-        help=(
-            "executor backend: 'serial' (in-process loop), 'thread' (shared-cache "
-            "pool; GIL-bound), 'process' (initiator-sharded worker processes, one "
-            "graph copy + ego cache each; scales across cores), 'remote' "
-            "(initiator-sharded TCP workers; needs --connect) (default thread)"
-        ),
-    )
-    serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="executor width: threads for --backend thread, worker processes "
-        "(= shards) for --backend process (default: auto)",
-    )
-    serve.add_argument(
-        "--connect",
-        default=None,
-        help="worker addresses for --backend remote, e.g. "
-        "'127.0.0.1:9001,127.0.0.1:9002' (shard count = address count)",
-    )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="per-request timeout in seconds for --backend remote (default 30)",
-    )
+    _add_backend_arguments(serve, default="thread")
     _add_placement_arguments(serve)
     add_service_arguments(serve)
 
@@ -367,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
             "once listening (port 0 picks an ephemeral port)."
         ),
     )
+    worker.set_defaults(handler=_command_worker)
     worker.add_argument(
         "--listen",
         type=_listen_address,
@@ -401,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
             "gateway exits, including on SIGINT/SIGTERM."
         ),
     )
+    cluster.set_defaults(handler=_command_cluster)
     cluster.add_argument(
         "--workers",
         type=_positive_int,
@@ -443,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
             "worker fleet for the multi-gateway topology (docs/http.md)."
         ),
     )
+    http.set_defaults(handler=_command_http)
     http.add_argument(
         "--listen",
         type=_listen_address,
@@ -452,31 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_dataset_arguments(http)
     add_substrate_argument(http)
-    http.add_argument(
-        "--backend",
-        choices=list(ALL_BACKEND_NAMES),
-        default="serial",
-        help="executor backend behind the gateway; 'remote' fronts a TCP "
-        "worker fleet via --connect (default serial)",
-    )
-    http.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="executor width for thread/process backends (default: auto)",
-    )
-    http.add_argument(
-        "--connect",
-        default=None,
-        help="worker addresses for --backend remote, e.g. "
-        "'127.0.0.1:9001,127.0.0.1:9002'",
-    )
-    http.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="per-request timeout in seconds for --backend remote (default 30)",
-    )
+    _add_backend_arguments(http, default="serial")
     _add_placement_arguments(http)
     add_service_arguments(http)
     http.add_argument(
@@ -540,6 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
             "exits non-zero if no worker answered."
         ),
     )
+    stats.set_defaults(handler=_command_stats)
     stats.add_argument(
         "--connect",
         required=True,
@@ -572,6 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
             "the final fleet version."
         ),
     )
+    mutate.set_defaults(handler=_command_mutate)
     add_dataset_arguments(mutate)
     add_substrate_argument(mutate)
     mutate.add_argument(
@@ -636,6 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
             "shares with the CRC32-fallback comparison."
         ),
     )
+    place.set_defaults(handler=_command_place)
     place.add_argument("trace", metavar="TRACE.jsonl", help="workload trace to replay")
     place.add_argument(
         "--workers",
@@ -693,6 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
             "hash of the packed substrate."
         ),
     )
+    pack.set_defaults(handler=_command_pack)
     pack.add_argument("edgelist", help="input edge-list file")
     pack.add_argument("output", metavar="OUT.stgq", help="destination substrate file")
     pack.add_argument(
@@ -712,6 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
             "content version hash — without touching the array payloads."
         ),
     )
+    inspect_parser.set_defaults(handler=_command_inspect)
     inspect_parser.add_argument("file", metavar="FILE.stgq", help="substrate file to inspect")
     inspect_parser.add_argument(
         "--json", action="store_true", help="emit the header as one JSON object"
@@ -1447,34 +1441,8 @@ def _command_inspect(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the ``stgq`` console script and ``python -m repro``."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "query":
-        return _command_query(args)
-    if args.command == "figure":
-        return _command_figure(args)
-    if args.command == "ablation":
-        return _command_ablation(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "worker":
-        return _command_worker(args)
-    if args.command == "cluster":
-        return _command_cluster(args)
-    if args.command == "http":
-        return _command_http(args)
-    if args.command == "stats":
-        return _command_stats(args)
-    if args.command == "mutate":
-        return _command_mutate(args)
-    if args.command == "place":
-        return _command_place(args)
-    if args.command == "pack":
-        return _command_pack(args)
-    if args.command == "inspect":
-        return _command_inspect(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

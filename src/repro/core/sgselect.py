@@ -27,12 +27,13 @@ Two interchangeable kernels drive the inner loop (selected via
   bitmasks, the measures become AND/popcount expressions, and the
   per-member stranger counters behind ``U``/``A`` are maintained
   *incrementally* across include/backtrack instead of being recomputed
-  from scratch per candidate.  One expansion,
-  :meth:`SGSelect._expand_compiled`, measures each node either scalar-wise
-  (the cascade) or with whole-pool reductions over the packed matrix of
-  :mod:`repro.graph.packed`; the matrix exists only for pools
-  :func:`~repro.graph.packed.use_vectorized` accepts, so smaller pools take
-  the scalar cascade at every node.
+  from scratch per candidate.  The expansion is
+  :class:`~repro.core.compiled_search.CompiledSearch`, shared with
+  STGSelect, which runs it with no temporal state here.  It measures each
+  node either scalar-wise (the cascade) or with whole-pool reductions over
+  the packed matrix of :mod:`repro.graph.packed`; the matrix exists only
+  for pools :func:`~repro.graph.packed.use_vectorized` accepts, so smaller
+  pools take the scalar cascade at every node.
 * ``"reference"`` — the original pure-Python set-based loop, kept as the
   executable specification.  Both kernels visit the identical search tree
   and produce identical results and statistics (asserted by the
@@ -49,29 +50,20 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import InfeasibleQueryError
+from .compiled_search import CompiledSearch
 from .context import SearchContext, record_into
 from ..graph.compiled import CompiledFeasibleGraph, compile_feasible_graph
 from ..graph.extraction import FeasibleGraph, extract_query_forms
-from ..graph import packed as packing
 from ..graph.packed import PackedAdjacency, pack_adjacency, use_vectorized
 from ..graph.social_graph import SocialGraph
 from ..types import Vertex
 from .ordering import (
-    candidate_measures_bitset,
-    expansibility_member_terms,
     exterior_expansibility,
     exterior_expansibility_condition,
     interior_unfamiliarity,
     interior_unfamiliarity_condition,
-    unfamiliarity_measures_packed,
 )
-from .pruning import (
-    acquaintance_pruning,
-    acquaintance_pruning_bitset,
-    acquaintance_pruning_packed,
-    distance_pruning,
-    distance_pruning_bitset,
-)
+from .pruning import acquaintance_pruning, distance_pruning
 from .query import SearchParameters, SGQuery
 from .result import GroupResult, SearchStats
 
@@ -228,8 +220,9 @@ class SGSelect:
 
         best: Dict[str, object] = {"distance": incumbent, "members": None}
 
-        def record(members, total: float) -> None:
-            """Single incumbent-update path shared by both kernels."""
+        def record(members, total: float, shared=None) -> None:
+            """Single incumbent-update path shared by both kernels (an SGQ
+            has no shared run: the compiled search passes ``None``)."""
             if total < best["distance"]:  # type: ignore[operator]
                 best["distance"] = total
                 best["members"] = set(members)
@@ -253,281 +246,13 @@ class SGSelect:
             packed = None
             if use_vectorized(compiled.candidate_count):
                 packed = packed_graph or pack_adjacency(compiled)
-            self._expand_compiled(
-                compiled=compiled,
-                packed=packed,
-                query=query,
-                members_mask=1,
-                member_ids=[0],
-                strangers=[0] * len(compiled),
-                remaining_mask=compiled.candidate_mask,
-                current_distance=0.0,
-                record=record,
-                best=best,
-                stats=stats,
-            )
+            CompiledSearch(
+                self.parameters, compiled, packed, p, query.acquaintance, record, best, stats
+            ).run(compiled.candidate_mask)
 
         if best["members"] is None:
             return None
         return best["members"], float(best["distance"])  # type: ignore[arg-type]
-
-    # ------------------------------------------------------------------
-    # compiled kernel
-    # ------------------------------------------------------------------
-    def _expand_compiled(
-        self,
-        compiled: CompiledFeasibleGraph,
-        packed: Optional[PackedAdjacency],
-        query: SGQuery,
-        members_mask: int,
-        member_ids: List[int],
-        strangers: List[int],
-        remaining_mask: int,
-        current_distance: float,
-        record: RecordFn,
-        best: Dict[str, object],
-        stats: SearchStats,
-        base_counts=None,
-        pending_mask: int = 0,
-    ) -> None:
-        """Explore one node of the set-enumeration tree (compiled state).
-
-        ``strangers[v]`` holds ``|VS - {v} - N_v|`` for every id in
-        ``member_ids`` and is maintained incrementally around the include
-        branch instead of being recomputed per candidate.  Each considered
-        candidate's ``(U, A)`` comes from one of two sources, and then one
-        decision ladder (expansibility → unfamiliarity → removal) uses it:
-
-        * **cascade batching** (scalar) — while a node's remaining pool holds
-          at most ``LAZY_MEASURE_THRESHOLD`` candidates, or always when
-          ``packed`` is ``None``, :func:`candidate_measures_bitset` scores
-          the candidate with exact AND/popcount arithmetic, so the
-          forced-chain tail of a search never pays numpy dispatch;
-        * **whole-pool arrays** — otherwise the node materialises, once:
-
-          - ``unfam`` / ``cand_strangers``: per-id ``U(VS ∪ {u})`` and
-            ``|VS - N_u|`` (they depend only on ``VS``, fixed for the
-            node's lifetime), as Python lists so each candidate costs two
-            list lookups;
-          - ``base_counts`` + ``pending_mask``: per-id ``|VA ∩ N_i|`` in
-            copy-on-write form.  ``base_counts`` holds the counts for a
-            base pool and is *shared* down the tree, while
-            ``pending_mask`` accumulates the ids removed since the base was
-            taken; a candidate's current count is
-            ``base[u] - popcount(pending & N_u)``, and only Lemma 3 rebases
-            the array (into a fresh one — ancestors never see the flush);
-          - ``member_terms`` / ``member_min``: the member side of
-            ``A(VS ∪ {u})`` as one small int list (see
-            :func:`expansibility_member_terms`), updated with plain int
-            adjacency bits on each removal.
-
-        Both sources yield the same integers (the adjacency bit in the
-        member terms cancels either way), and the conditions' right-hand
-        sides are precomputed with the ``*_condition`` helpers' expressions,
-        so the tree and the stats don't depend on the source.  High-frequency
-        counters accumulate in locals and are folded into ``stats`` when the
-        node finishes.
-        """
-        params = self.parameters
-        p = query.group_size
-        k = query.acquaintance
-        adj = compiled.adj
-        dist = compiled.dist
-        stats.nodes_expanded += 1
-        # Without a packed matrix every node takes the scalar cascade.
-        lazy_threshold = packing.LAZY_MEASURE_THRESHOLD if packed is not None else len(compiled)
-
-        theta = params.theta if params.use_access_ordering else 0
-        deferred_mask = 0
-        members_count = len(member_ids)
-
-        cand_strangers = None  # per-id |VS - N_u| list (whole-node validity)
-        unfam = None  # per-id U(VS ∪ {u}) list (whole-node validity)
-        member_terms = None  # member side of A(VS ∪ {u}); tracks removals
-        member_min = 0
-        considered = 0
-        expans_removed = 0
-        unfam_removed = 0
-
-        new_size = members_count + 1
-        expans_need = p - new_size
-        unfam_rhs = k * (new_size / p) ** theta
-
-        try:
-            while True:
-                if members_count == p:
-                    record(compiled.members_of(members_mask), current_distance)
-                    return
-                remaining_count = remaining_mask.bit_count()
-                if members_count + remaining_count < p:
-                    return
-
-                # --- node-level pruning -----------------------------------
-                if params.use_distance_pruning and distance_pruning_bitset(
-                    incumbent_distance=best["distance"],  # type: ignore[arg-type]
-                    current_distance=current_distance,
-                    members_count=members_count,
-                    group_size=p,
-                    remaining_mask=remaining_mask,
-                    dist=dist,
-                ):
-                    stats.distance_prunes += 1
-                    return
-                if params.use_acquaintance_pruning:
-                    # Same early-outs as the helpers, checked first so the
-                    # (frequent) can't-fire case costs no work.
-                    needed = p - members_count
-                    if needed * (needed - 1 - k) > 0 and remaining_count >= needed:
-                        if packed is None:
-                            pruned = acquaintance_pruning_bitset(
-                                adj=adj,
-                                remaining_mask=remaining_mask,
-                                members_count=members_count,
-                                group_size=p,
-                                acquaintance=k,
-                            )
-                        else:
-                            if base_counts is None:
-                                base_counts = packed.intersect_counts(packed.row(remaining_mask))
-                                pending_mask = 0
-                            elif pending_mask:
-                                # Rebase into a fresh array: the stale base
-                                # may be shared with ancestor nodes.
-                                base_counts = base_counts - packed.intersect_counts(
-                                    packed.row(pending_mask)
-                                )
-                                pending_mask = 0
-                            pruned = acquaintance_pruning_packed(
-                                remaining_counts=base_counts,
-                                remaining_indicator=packed.indicator(remaining_mask),
-                                remaining_count=remaining_count,
-                                members_count=members_count,
-                                group_size=p,
-                                acquaintance=k,
-                            )
-                        if pruned:
-                            stats.acquaintance_prunes += 1
-                            return
-
-                # --- candidate selection (access ordering) ----------------
-                selected = -1
-                while selected < 0:
-                    open_mask = remaining_mask & ~deferred_mask
-                    if not open_mask:
-                        if theta > 0:
-                            theta -= 1
-                            unfam_rhs = k * (new_size / p) ** theta
-                            deferred_mask = 0
-                            continue
-                        # θ exhausted and every remaining candidate deferred or
-                        # removed: nothing left to branch on at this node.
-                        return
-                    # Ids follow the access order, so the lowest set bit is the
-                    # unvisited candidate with the smallest social distance.
-                    cand_bit = open_mask & -open_mask
-                    candidate = cand_bit.bit_length() - 1
-                    considered += 1
-
-                    if unfam is None and remaining_mask.bit_count() <= lazy_threshold:
-                        u_val, e_val = candidate_measures_bitset(
-                            adj,
-                            member_ids,
-                            strangers,
-                            members_mask,
-                            remaining_mask & ~cand_bit,
-                            candidate,
-                            k,
-                        )
-                    else:
-                        if unfam is None:
-                            cs_arr, unfam_arr = unfamiliarity_measures_packed(
-                                packed, member_ids, strangers, members_mask
-                            )
-                            cand_strangers = cs_arr.tolist()
-                            unfam = unfam_arr.tolist()
-                            if base_counts is None:
-                                base_counts = packed.intersect_counts(packed.row(remaining_mask))
-                                pending_mask = 0
-                            member_terms = expansibility_member_terms(
-                                base_counts, member_ids, strangers, k, adj, pending_mask
-                            )
-                            member_min = min(member_terms)
-                        u_val = unfam[candidate]
-                        e_val = int(base_counts[candidate]) + k - cand_strangers[candidate]
-                        if pending_mask:
-                            e_val -= (pending_mask & adj[candidate]).bit_count()
-                        if member_min < e_val:
-                            e_val = member_min
-
-                    if e_val < expans_need:
-                        # Lemma 1: this candidate can never complete the group.
-                        expans_removed += 1
-                    elif u_val > unfam_rhs:
-                        if theta == 0:
-                            # The expanded set already violates the acquaintance
-                            # constraint; adding more members can only worsen it.
-                            unfam_removed += 1
-                        else:
-                            deferred_mask |= cand_bit
-                            continue
-                    else:
-                        selected = candidate
-                        continue
-                    # Drop ``candidate`` from the pool: one bit into the
-                    # pending batch, plus the int updates that keep the
-                    # member terms exact once they exist.
-                    remaining_mask &= ~cand_bit
-                    deferred_mask &= ~cand_bit
-                    pending_mask |= cand_bit
-                    if member_terms is not None:
-                        cand_adj = adj[candidate]
-                        for j, v in enumerate(member_ids):
-                            member_terms[j] -= cand_adj >> v & 1
-                        member_min = min(member_terms)
-
-                # --- branch 1: include ``selected`` -----------------------
-                sel_bit = 1 << selected
-                sel_adj = adj[selected]
-                strangers[selected] = (members_mask & ~sel_adj).bit_count()
-                for v in member_ids:
-                    if not sel_adj >> v & 1:
-                        strangers[v] += 1
-                member_ids.append(selected)
-                self._expand_compiled(
-                    compiled=compiled,
-                    packed=packed,
-                    query=query,
-                    members_mask=members_mask | sel_bit,
-                    member_ids=member_ids,
-                    strangers=strangers,
-                    remaining_mask=remaining_mask & ~sel_bit,
-                    current_distance=current_distance + dist[selected],
-                    record=record,
-                    best=best,
-                    stats=stats,
-                    # Copy-on-write: the child shares this base array and
-                    # extends the pending batch with ``selected`` (no
-                    # self-loops, so the id's own count needs no fix-up).
-                    base_counts=base_counts,
-                    pending_mask=pending_mask | sel_bit,
-                )
-                member_ids.pop()
-                for v in member_ids:
-                    if not sel_adj >> v & 1:
-                        strangers[v] -= 1
-
-                # --- branch 2: exclude ``selected`` and continue ----------
-                remaining_mask &= ~sel_bit
-                deferred_mask &= ~sel_bit
-                pending_mask |= sel_bit
-                if member_terms is not None:
-                    for j, v in enumerate(member_ids):
-                        member_terms[j] -= sel_adj >> v & 1
-                    member_min = min(member_terms)
-        finally:
-            stats.candidates_considered += considered
-            stats.expansibility_removals += expans_removed
-            stats.unfamiliarity_removals += unfam_removed
 
     # ------------------------------------------------------------------
     # reference kernel

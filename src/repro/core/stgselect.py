@@ -17,14 +17,14 @@ STGSelect extends SGSelect along the temporal dimension:
   candidates are collectively too busy around the pivot.
 
 Like SGSelect, two interchangeable kernels drive the per-pivot inner loop
-(``SearchParameters.kernel``): the default ``"compiled"`` kernel runs one
-expansion on the dense-id bitmask form of the feasible graph (incremental
-stranger counters, AND/popcount measures, per-slot busy masks for Lemma 5),
-measuring wide nodes with whole-pool arrays when
+(``SearchParameters.kernel``).  The default ``"compiled"`` kernel runs
+SGSelect's own expansion, :class:`~repro.core.compiled_search.CompiledSearch`,
+on the dense-id bitmask form of the feasible graph, handing it the pivot
+window's schedules and per-slot busy masks so it adds the temporal rung and
+Lemma 5; it measures wide nodes with whole-pool arrays when
 :func:`~repro.graph.packed.use_vectorized` packed the pool and every other
-node with the scalar cascade, while ``"reference"`` keeps the original
-set-based loop as the executable specification.  Both visit the identical
-search tree.
+node with the scalar cascade.  ``"reference"`` keeps the original set-based
+loop as the executable specification.  Both visit the identical search tree.
 
 The returned :class:`~repro.core.result.STGroupResult` carries the selected
 activity period, the pivot it was anchored at, and the full shared run.
@@ -32,15 +32,16 @@ activity period, the pivot it was anchored at, and the full shared run.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..exceptions import InfeasibleQueryError, ScheduleError
+from .compiled_search import CompiledSearch
 from .context import SearchContext, record_into
 from ..graph.compiled import CompiledFeasibleGraph, compile_feasible_graph
 from ..graph.extraction import FeasibleGraph, extract_query_forms
-from ..graph import packed as packing
 from ..graph.packed import PackedAdjacency, busy_slot_masks, pack_adjacency, use_vectorized
 from ..graph.social_graph import SocialGraph
 from ..temporal.calendars import CalendarStore
@@ -49,25 +50,14 @@ from ..temporal.schedule import Schedule
 from ..temporal.slots import SlotRange
 from ..types import Vertex
 from .ordering import (
-    candidate_measures_bitset,
-    expansibility_member_terms,
     exterior_expansibility,
     exterior_expansibility_condition,
     interior_unfamiliarity,
     interior_unfamiliarity_condition,
     temporal_extensibility,
     temporal_extensibility_condition,
-    unfamiliarity_measures_packed,
 )
-from .pruning import (
-    acquaintance_pruning,
-    acquaintance_pruning_bitset,
-    acquaintance_pruning_packed,
-    availability_pruning,
-    availability_pruning_bitset,
-    distance_pruning,
-    distance_pruning_bitset,
-)
+from .pruning import acquaintance_pruning, availability_pruning, distance_pruning
 from .query import STGQuery, SearchParameters
 from .result import STGroupResult, SearchStats
 
@@ -284,316 +274,20 @@ class STGSelect:
             busy_masks = dict(zip(window.window, masks))
             busy_max = max((mask.bit_count() for mask in masks), default=0)
 
-        self._expand_compiled(
-            compiled=compiled,
-            packed=packed,
+        CompiledSearch(
+            self.parameters,
+            compiled,
+            packed,
+            p,
+            query.acquaintance,
+            functools.partial(record, pivot=pivot),
+            best,
+            stats,
+            window=window,
             schedules=schedules,
             busy_masks=busy_masks,
             busy_max=busy_max,
-            query=query,
-            window=window,
-            members_mask=1,
-            member_ids=[0],
-            strangers=[0] * len(compiled),
-            shared=q_shared,
-            remaining_mask=feasible_mask,
-            current_distance=0.0,
-            record=record,
-            best=best,
-            stats=stats,
-        )
-
-    def _expand_compiled(
-        self,
-        compiled: CompiledFeasibleGraph,
-        packed: Optional[PackedAdjacency],
-        schedules: List[Optional[Schedule]],
-        busy_masks,
-        busy_max: int,
-        query: STGQuery,
-        window: PivotWindow,
-        members_mask: int,
-        member_ids: List[int],
-        strangers: List[int],
-        shared: SlotRange,
-        remaining_mask: int,
-        current_distance: float,
-        record: RecordFn,
-        best: Dict[str, object],
-        stats: SearchStats,
-        base_counts=None,
-        pending_mask: int = 0,
-    ) -> None:
-        """Explore one node of the per-pivot tree (compiled state).
-
-        The social measures follow :meth:`SGSelect._expand_compiled`
-        exactly (scalar cascade or whole-pool arrays, copy-on-write
-        ``base_counts`` + ``pending_mask``, int ``member_terms``,
-        precomputed condition right-hand sides, node-local stat
-        accumulation), and the decision ladder gains a temporal rung.  On
-        top of that, the temporal machinery:
-
-        * Lemma 5's per-slot scan is an early-breaking AND/popcount over
-          the busy masks, gated by ``busy_max`` (no slot can reach the
-          threshold ⇒ the prune cannot fire ⇒ skip the scan — the window
-          boundaries alone never prune, as ``t⁺ - t⁻`` is then the full
-          window plus both virtual busy slots, which always exceeds
-          ``m``);
-        * joint runs are pure functions of the node-fixed ``shared`` run,
-          so reconsidering a deferred candidate after a θ/φ relaxation
-          replays them from a per-node memo instead of re-walking the
-          schedule.
-        """
-        params = self.parameters
-        p = query.group_size
-        k = query.acquaintance
-        m = query.activity_length
-        adj = compiled.adj
-        dist = compiled.dist
-        stats.nodes_expanded += 1
-        # Without a packed matrix every node takes the scalar cascade.
-        lazy_threshold = packing.LAZY_MEASURE_THRESHOLD if packed is not None else len(compiled)
-
-        theta = params.theta if params.use_access_ordering else 0
-        phi = params.phi if params.use_access_ordering else params.phi_threshold
-        deferred_mask = 0
-        members_count = len(member_ids)
-
-        cand_strangers = None  # per-id |VS - N_u| list (whole-node validity)
-        unfam = None  # per-id U(VS ∪ {u}) list (whole-node validity)
-        member_terms = None  # member side of A(VS ∪ {u}); tracks removals
-        member_min = 0
-        considered = 0
-        expans_removed = 0
-        unfam_removed = 0
-        temporal_removed = 0
-
-        new_size = members_count + 1
-        expans_need = p - new_size
-        unfam_rhs = k * (new_size / p) ** theta
-        temporal_rhs = (
-            0.0 if phi >= params.phi_threshold else (m - 1) * ((p - new_size) / p) ** phi
-        )
-        joint_memo: Dict[int, tuple] = {}
-
-        try:
-            while True:
-                if members_count == p:
-                    record(
-                        compiled.members_of(members_mask), current_distance, shared, window.pivot
-                    )
-                    return
-                remaining_count = remaining_mask.bit_count()
-                if members_count + remaining_count < p:
-                    return
-
-                # --- node-level pruning -----------------------------------
-                if params.use_distance_pruning and distance_pruning_bitset(
-                    incumbent_distance=best["distance"],  # type: ignore[arg-type]
-                    current_distance=current_distance,
-                    members_count=members_count,
-                    group_size=p,
-                    remaining_mask=remaining_mask,
-                    dist=dist,
-                ):
-                    stats.distance_prunes += 1
-                    return
-                needed = p - members_count
-                if params.use_acquaintance_pruning:
-                    # Same early-outs as the helpers, checked first so the
-                    # (frequent) can't-fire case costs no work.
-                    if needed * (needed - 1 - k) > 0 and remaining_count >= needed:
-                        if packed is None:
-                            pruned = acquaintance_pruning_bitset(
-                                adj=adj,
-                                remaining_mask=remaining_mask,
-                                members_count=members_count,
-                                group_size=p,
-                                acquaintance=k,
-                            )
-                        else:
-                            if base_counts is None:
-                                base_counts = packed.intersect_counts(packed.row(remaining_mask))
-                                pending_mask = 0
-                            elif pending_mask:
-                                # Rebase into a fresh array: the stale base
-                                # may be shared with ancestor nodes.
-                                base_counts = base_counts - packed.intersect_counts(
-                                    packed.row(pending_mask)
-                                )
-                                pending_mask = 0
-                            pruned = acquaintance_pruning_packed(
-                                remaining_counts=base_counts,
-                                remaining_indicator=packed.indicator(remaining_mask),
-                                remaining_count=remaining_count,
-                                members_count=members_count,
-                                group_size=p,
-                                acquaintance=k,
-                            )
-                        if pruned:
-                            stats.acquaintance_prunes += 1
-                            return
-                if (
-                    params.use_availability_pruning
-                    and remaining_count >= needed
-                    and busy_max >= remaining_count - needed + 1
-                    and availability_pruning_bitset(
-                        busy_masks=busy_masks,
-                        remaining_mask=remaining_mask,
-                        members_count=members_count,
-                        group_size=p,
-                        window=window,
-                    )
-                ):
-                    stats.availability_prunes += 1
-                    return
-
-                # --- candidate selection (access ordering) ----------------
-                selected = -1
-                selected_shared: Optional[SlotRange] = None
-                while selected < 0:
-                    open_mask = remaining_mask & ~deferred_mask
-                    if not open_mask:
-                        if theta > 0:
-                            theta -= 1
-                            unfam_rhs = k * (new_size / p) ** theta
-                            deferred_mask = 0
-                            continue
-                        if phi < params.phi_threshold:
-                            phi += 1
-                            temporal_rhs = (
-                                0.0
-                                if phi >= params.phi_threshold
-                                else (m - 1) * ((p - new_size) / p) ** phi
-                            )
-                            deferred_mask = 0
-                            continue
-                        return
-                    cand_bit = open_mask & -open_mask
-                    candidate = cand_bit.bit_length() - 1
-                    considered += 1
-
-                    if unfam is None and remaining_mask.bit_count() <= lazy_threshold:
-                        u_val, e_val = candidate_measures_bitset(
-                            adj,
-                            member_ids,
-                            strangers,
-                            members_mask,
-                            remaining_mask & ~cand_bit,
-                            candidate,
-                            k,
-                        )
-                    else:
-                        if unfam is None:
-                            cs_arr, unfam_arr = unfamiliarity_measures_packed(
-                                packed, member_ids, strangers, members_mask
-                            )
-                            cand_strangers = cs_arr.tolist()
-                            unfam = unfam_arr.tolist()
-                            if base_counts is None:
-                                base_counts = packed.intersect_counts(packed.row(remaining_mask))
-                                pending_mask = 0
-                            member_terms = expansibility_member_terms(
-                                base_counts, member_ids, strangers, k, adj, pending_mask
-                            )
-                            member_min = min(member_terms)
-                        u_val = unfam[candidate]
-                        e_val = int(base_counts[candidate]) + k - cand_strangers[candidate]
-                        if pending_mask:
-                            e_val -= (pending_mask & adj[candidate]).bit_count()
-                        if member_min < e_val:
-                            e_val = member_min
-
-                    if e_val < expans_need:
-                        expans_removed += 1
-                    elif u_val > unfam_rhs:
-                        if theta == 0:
-                            unfam_removed += 1
-                        else:
-                            deferred_mask |= cand_bit
-                            continue
-                    else:
-                        entry = joint_memo.get(candidate)
-                        if entry is None:
-                            cand_shared = schedules[candidate].free_run_around(  # type: ignore[union-attr]
-                                window.pivot, shared
-                            )
-                            ext = temporal_extensibility(cand_shared, m)
-                            joint_memo[candidate] = (cand_shared, ext)
-                        else:
-                            cand_shared, ext = entry
-                        if ext >= temporal_rhs:
-                            selected = candidate
-                            selected_shared = cand_shared
-                            continue
-                        if ext >= 0:
-                            deferred_mask |= cand_bit
-                            continue
-                        # Adding this candidate destroys temporal feasibility
-                        # for every extension of the current VS.
-                        temporal_removed += 1
-                    # Drop ``candidate`` from the pool: one bit into the
-                    # pending batch, plus the int updates that keep the
-                    # member terms exact once they exist.
-                    remaining_mask &= ~cand_bit
-                    deferred_mask &= ~cand_bit
-                    pending_mask |= cand_bit
-                    if member_terms is not None:
-                        cand_adj = adj[candidate]
-                        for j, v in enumerate(member_ids):
-                            member_terms[j] -= cand_adj >> v & 1
-                        member_min = min(member_terms)
-
-                # --- branch 1: include ``selected`` -----------------------
-                assert selected_shared is not None
-                sel_bit = 1 << selected
-                sel_adj = adj[selected]
-                strangers[selected] = (members_mask & ~sel_adj).bit_count()
-                for v in member_ids:
-                    if not sel_adj >> v & 1:
-                        strangers[v] += 1
-                member_ids.append(selected)
-                self._expand_compiled(
-                    compiled=compiled,
-                    packed=packed,
-                    schedules=schedules,
-                    busy_masks=busy_masks,
-                    busy_max=busy_max,
-                    query=query,
-                    window=window,
-                    members_mask=members_mask | sel_bit,
-                    member_ids=member_ids,
-                    strangers=strangers,
-                    shared=selected_shared,
-                    remaining_mask=remaining_mask & ~sel_bit,
-                    current_distance=current_distance + dist[selected],
-                    record=record,
-                    best=best,
-                    stats=stats,
-                    # Copy-on-write: the child shares this base array and
-                    # extends the pending batch with ``selected`` (no
-                    # self-loops, so the id's own count needs no fix-up).
-                    base_counts=base_counts,
-                    pending_mask=pending_mask | sel_bit,
-                )
-                member_ids.pop()
-                for v in member_ids:
-                    if not sel_adj >> v & 1:
-                        strangers[v] -= 1
-
-                # --- branch 2: exclude ``selected`` and continue ----------
-                remaining_mask &= ~sel_bit
-                deferred_mask &= ~sel_bit
-                pending_mask |= sel_bit
-                if member_terms is not None:
-                    for j, v in enumerate(member_ids):
-                        member_terms[j] -= sel_adj >> v & 1
-                    member_min = min(member_terms)
-        finally:
-            stats.candidates_considered += considered
-            stats.expansibility_removals += expans_removed
-            stats.unfamiliarity_removals += unfam_removed
-            stats.temporal_removals += temporal_removed
+        ).run(feasible_mask, q_shared)
 
     # ------------------------------------------------------------------
     # per-pivot search (reference kernel)

@@ -76,6 +76,12 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_shard_count(n_shards: object) -> None:
+    """Reject a shard count that is not an ``int >= 1`` (bools included)."""
+    if not _is_int(n_shards) or n_shards < 1:  # type: ignore[operator]
+        raise QueryError(f"n_shards must be an int >= 1, got {n_shards!r}")
+
+
 def _ring_point(seed: int, shard: int, vnode: int) -> int:
     """Deterministic 32-bit ring position of one virtual node."""
     return zlib.crc32(f"vnode:{seed}:{shard}:{vnode}".encode("utf-8"))
@@ -139,12 +145,13 @@ class PlacementMap:
         assignments: Optional[Dict[Vertex, int]] = None,
         replicas: Optional[Dict[Vertex, Sequence[int]]] = None,
     ) -> None:
-        if n_shards < 1:
-            raise QueryError(f"n_shards must be >= 1, got {n_shards}")
+        _check_shard_count(n_shards)
         if not _is_int(version) or version < 1:
             raise QueryError(f"placement version must be an int >= 1, got {version!r}")
-        if vnodes < 1:
-            raise QueryError(f"vnodes must be >= 1, got {vnodes}")
+        if not _is_int(vnodes) or vnodes < 1:
+            raise QueryError(f"vnodes must be an int >= 1, got {vnodes!r}")
+        if not _is_int(seed):
+            raise QueryError(f"placement seed must be an int, got {seed!r}")
         self.n_shards = n_shards
         self.version = version
         self.vnodes = vnodes
@@ -316,12 +323,6 @@ class PlacementMap:
             version = payload["version"]
         except KeyError as exc:
             raise QueryError(f"placement payload missing field {exc.args[0]!r}") from None
-        if not _is_int(n_shards):
-            raise QueryError(f"placement n_shards must be an int, got {n_shards!r}")
-        vnodes = payload.get("vnodes", DEFAULT_VNODES)
-        seed = payload.get("seed", 0)
-        if not _is_int(vnodes) or not _is_int(seed):
-            raise QueryError("placement vnodes/seed must be ints")
         raw_assignments = payload.get("assignments", [])
         raw_replicas = payload.get("replicas", [])
         if not isinstance(raw_assignments, list) or not isinstance(raw_replicas, list):
@@ -343,8 +344,8 @@ class PlacementMap:
         return cls(
             n_shards,
             version=version,
-            vnodes=vnodes,
-            seed=seed,
+            vnodes=payload.get("vnodes", DEFAULT_VNODES),
+            seed=payload.get("seed", 0),
             assignments=assignments,
             replicas=replicas,
         )
@@ -424,6 +425,7 @@ def build_placement(
     ring, so an incomplete trace degrades to hashing, never to an error.
     An empty trace yields a pure-ring map.
     """
+    _check_shard_count(n_shards)
     if replicas < 1:
         raise QueryError(f"replicas must be >= 1, got {replicas}")
     loads = Counter(query.initiator for query in queries)  # type: ignore[attr-defined]

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import pytest
 
-from repro.core import SGSelect, STGSelect
+from repro.core.compiled_search import CompiledSearch
 from repro.datasets import load_movie_network, load_toy_example
 from repro.graph import SocialGraph, packed
 from repro.temporal import CalendarStore, Schedule
@@ -69,26 +69,22 @@ def compiled_lane(lane: str) -> Iterator[None]:
 
 @contextmanager
 def vectorized_spy() -> Iterator[Counter]:
-    """Count SGSelect's and STGSelect's compiled expansions entered with a
-    packed matrix (``packed is not None``), per solver class."""
+    """Count the shared compiled search's node expansions entered with a
+    packed matrix (``packed is not None``), per solver: a search without
+    schedules is SGSelect's, one with schedules STGSelect's."""
     calls: Counter = Counter()
-    originals = {cls: cls.__dict__["_expand_compiled"] for cls in (SGSelect, STGSelect)}
+    original = CompiledSearch.__dict__["expand"]
 
-    def spy(cls, original):
-        def expand(self, *args, **kwargs):
-            if kwargs["packed"] is not None:
-                calls[cls.__name__] += 1
-            return original(self, *args, **kwargs)
+    def expand(self, *args, **kwargs):
+        if self.packed is not None:
+            calls["SGSelect" if self.schedules is None else "STGSelect"] += 1
+        return original(self, *args, **kwargs)
 
-        return expand
-
-    for cls, original in originals.items():
-        cls._expand_compiled = spy(cls, original)
+    CompiledSearch.expand = expand
     try:
         yield calls
     finally:
-        for cls, original in originals.items():
-            cls._expand_compiled = original
+        CompiledSearch.expand = original
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ installed.  All are required to visit the identical search tree, so the
 assertions here are strict: same feasibility, same members, same total
 distance (exact float equality — the distance sums accumulate in the same
 order), same temporal fields for STGQ, and the same search statistics.  A
-spy on the compiled expansions checks that a forced packed lane really
+spy on the shared compiled search checks that a forced packed lane really
 searched with its matrix, so it cannot go silently dead.  Randomised
 instances come from hypothesis; the seeded fixtures cover the ablation
 toggles and the ``allowed_candidates`` restriction.
@@ -225,26 +225,27 @@ class TestSeededEquivalence:
 
     @pytest.mark.skipif("arrays" not in COMPILED_LANES, reason="needs numpy >= 2.0")
     def test_arrays_lane_measures_with_arrays(self, monkeypatch):
-        """With the cascade off, tiny instances take the array path too."""
-        from repro.core import sgselect, stgselect
+        """With the cascade off, tiny instances take the array path too —
+        in SGSelect's search and in STGSelect's, counted separately."""
+        from repro.core import compiled_search
 
         calls = Counter()
-        for module in (sgselect, stgselect):
 
-            def counting(*args, _module=module, _original=module.unfamiliarity_measures_packed):
-                calls[_module.__name__] += 1
-                return _original(*args)
+        def counting(*args, _original=compiled_search.unfamiliarity_measures_packed):
+            calls["arrays"] += 1
+            return _original(*args)
 
-            monkeypatch.setattr(module, "unfamiliarity_measures_packed", counting)
+        monkeypatch.setattr(compiled_search, "unfamiliarity_measures_packed", counting)
         graph = make_random_graph(1, n=11, edge_prob=0.4)
         calendars = make_random_calendars(501, list(graph), horizon=12, availability=0.6)
         with compiled_lane("arrays"):
             SGSelect(graph).solve(SGQuery(initiator=0, group_size=5, radius=2, acquaintance=2))
+            sg_calls = calls["arrays"]
             STGSelect(graph, calendars).solve(
                 STGQuery(initiator=0, group_size=3, radius=2, acquaintance=0, activity_length=2)
             )
-        assert calls["repro.core.sgselect"] > 0
-        assert calls["repro.core.stgselect"] > 0
+        assert sg_calls > 0
+        assert calls["arrays"] - sg_calls > 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_allowed_candidates_restriction(self, seed):

@@ -131,6 +131,19 @@ class TestRouting:
             PlacementMap(2, assignments={"a": 2})  # shard out of range
         with pytest.raises(QueryError):
             PlacementMap(2, replicas={"a": (0, 0)})  # duplicate replica
+        for bad in (
+            lambda: PlacementMap(True),  # bool is not a shard count
+            lambda: PlacementMap("2"),
+            lambda: PlacementMap(2, vnodes=True),
+            lambda: PlacementMap(2, vnodes=0),
+            lambda: PlacementMap(2, seed="x"),
+            lambda: PlacementMap(2, seed=False),
+            lambda: build_placement(_queries(["a", "b"]), 0),
+            lambda: build_placement(_queries(["a", "b"]), -1),
+            lambda: build_placement([], 0),
+        ):
+            with pytest.raises(QueryError):
+                bad()
 
 
 class TestWireAndFile:
